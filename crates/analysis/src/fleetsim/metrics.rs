@@ -182,13 +182,11 @@ pub struct WatchdogCounters {
     pub dormant: u64,
 }
 
-/// One worker's metric tallies, owned by its [`ShardState`] and bumped
-/// inline during the step loop — no locks, no atomics, no allocation. The
-/// engine folds shards together **in shard order** whenever a snapshot or
-/// summary is built; since every field merges by addition, the totals are
-/// identical for any shard split.
-///
-/// [`ShardState`]: super::run_policy
+/// One worker's metric tallies, owned by its shard and bumped inline by the
+/// member-step kernel (`step_shard` in [`fleetsim`](super)) — no locks, no
+/// atomics, no allocation. The engine folds shards together **in shard
+/// order** whenever a snapshot or summary is built; since every field
+/// merges by addition, the totals are identical for any shard split.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardMetrics {
     /// Controller transitions stepped on this shard.

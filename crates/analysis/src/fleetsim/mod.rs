@@ -12,9 +12,10 @@
 //! 2. Each epoch, controllers *request* rates; a [`scheduler`] policy
 //!    converts the cost-unit budget into grantable rate and splits it.
 //! 3. Members run their epoch at the granted rate
-//!    ([`AdaptiveSampler::step_granted`](sweetspot_core::adaptive::AdaptiveSampler::step_granted)):
-//!    throttled controllers record deferrals and re-ramp through their
-//!    Nyquist memory when budget returns.
+//!    ([`FleetMember::step_epoch`], which drives
+//!    [`AdaptiveSampler::step_granted_scratch`](sweetspot_core::adaptive::AdaptiveSampler::step_granted_scratch)
+//!    through the shard's scratch): throttled controllers record deferrals
+//!    and re-ramp through their Nyquist memory when budget returns.
 //! 4. A ground-truth [`quality`] model scores every device's achieved rate
 //!    against its true Nyquist rate; an [`EpochLedger`] accounts every cost
 //!    unit. The output is a **cost-vs-quality frontier per policy** — the
@@ -31,6 +32,16 @@
 //! order — so output is **byte-identical for any `--threads N`** (pinned by
 //! tests and the CI smoke).
 //!
+//! # One kernel, optional planes
+//!
+//! Every member steps through one kernel, `step_shard`, which writes one
+//! per-device record into a step column that the serial ledger, quality
+//! and journal code read in device order. Healthy runs go through it with
+//! every event `Healthy`. Failure injection and watchdog recovery live in
+//! planes (see `planes.rs`) that are built only when their option is on:
+//! an absent plane is never called, so `--scenario none` and
+//! `--recovery-budget-frac 0` run the plain loop by construction.
+//!
 //! # The memory wall
 //!
 //! Members hold only durable control state; each shard keeps its member
@@ -44,6 +55,7 @@
 //! [`MemoryStats`]).
 
 pub mod metrics;
+mod planes;
 pub mod quality;
 pub mod scenario;
 pub mod scheduler;
@@ -51,16 +63,17 @@ pub mod scheduler;
 use std::thread;
 use std::time::{Duration, Instant};
 use sweetspot_arena::Slab;
-use sweetspot_core::adaptive::{AdaptiveConfig, EpochAction, HealthState};
+use sweetspot_core::adaptive::{AdaptiveConfig, EpochAction};
 use sweetspot_dsp::fft::FftHandleStats;
 use sweetspot_monitor::poller::{EpochScratch, FleetMember};
 use sweetspot_monitor::{CostModel, EpochAccount, EpochLedger};
-use sweetspot_telemetry::{paper_scale_work, scaled_work, FleetConfig, MetricProfile, SignalModel};
+use sweetspot_telemetry::{paper_scale_work, scaled_work, FleetConfig, MetricProfile};
 use sweetspot_timeseries::{Hertz, Seconds};
 
-use metrics::{EpochSnapshot, MetricsRecorder, MetricsSummary, ShardMetrics, WatchdogCounters};
+use metrics::{EpochSnapshot, MetricsRecorder, MetricsSummary, ShardMetrics};
+use planes::{ScenarioPlane, WatchdogPlane};
 use quality::{DeviceQuality, FleetQuality};
-use scenario::{DeviceEvent, ScenarioCounters, ScenarioEngine, ScenarioSpec, ScenarioStats};
+use scenario::{DeviceEvent, ScenarioSpec, ScenarioStats};
 use scheduler::SchedulerPolicy;
 
 /// Primary-stream cost is amplified by the §4.1 companion stream at
@@ -429,9 +442,7 @@ pub fn run_policy_recorded(
     // Quality requirement per device. A quiescent device's signal never
     // moves a full quantum, so *any* rate fully captures what is observable:
     // its requirement is zero (coverage 1.0 by definition in `quality`).
-    let mut nyquist: Vec<f64> = shards
-        .iter()
-        .flat_map(|s| s.members.iter())
+    let mut nyquist: Vec<f64> = members(&shards)
         .map(|m| {
             if m.device().trace().is_quiet() {
                 0.0
@@ -449,42 +460,16 @@ pub fn run_policy_recorded(
         .map(|(p, _)| cfg.metric_weights[p.kind.index()])
         .collect();
 
-    // Failure injection. Inert scenarios build no engine, so the healthy
-    // path below runs exactly as before — byte for byte.
-    let scenario_spec = cfg.scenario;
-    let engine = scenario_spec
-        .is_active()
-        .then(|| ScenarioEngine::new(scenario_spec, epochs));
-    let incident = engine.as_ref().and_then(ScenarioEngine::incident);
-    // Regime incident: pre-build every member's incident-phase signal model
-    // (tone frequencies scaled, identity and noise seed untouched) so phase
-    // boundaries in the epoch loop only `mem::swap` models and requirement
-    // vectors — no allocation, no re-synthesis.
-    let mut alt_models: Vec<SignalModel> = Vec::new();
-    let mut alt_nyquist: Vec<f64> = Vec::new();
-    if incident.is_some() {
-        let members = || shards.iter().flat_map(|s| s.members.iter());
-        alt_models = members()
-            .map(|m| m.device().trace().regime_model(scenario_spec.incident_factor))
-            .collect();
-        alt_nyquist = members()
-            .zip(&alt_models)
-            .map(|(m, alt)| {
-                if m.device().trace().is_quiet() {
-                    0.0
-                } else {
-                    alt.nyquist_rate().value()
-                }
-            })
-            .collect();
-    }
-    let cost_factors = engine.as_ref().and_then(|e| e.cost_factors(n));
-    timing.build = t0.elapsed();
-
     // The scheduler works in rate space: convert the cost budget once.
     let unit_cost = cfg.cost.cost_per_sample();
     let epoch_unit = unit_cost * window.value() * VERIFY_OVERHEAD;
     let capacity_rate = budget_per_epoch / epoch_unit; // INF stays INF
+
+    // The optional planes: each is `None` when its feature is off, and an
+    // absent plane is never called.
+    let mut scenario = ScenarioPlane::new(cfg.scenario, epochs, n, members(&shards));
+    let mut watchdog = WatchdogPlane::new(cfg.recovery_budget_frac, capacity_rate, epoch_unit, n);
+    timing.build = t0.elapsed();
 
     // One stateful scheduler per run: recycled buffers plus (for
     // water-filling) the incrementally maintained sorted order. Grants are
@@ -493,229 +478,47 @@ pub fn run_policy_recorded(
     let mut ledger = EpochLedger::with_capacity(epochs);
     let mut requests = vec![0.0f64; n];
     let mut grants: Vec<f64> = Vec::with_capacity(n);
-    let mut coverage_sum = vec![0.0f64; n];
-    let mut epoch_samples = vec![0usize; n];
-    let mut epoch_throttled = vec![false; n];
-    // Per-device action taken this epoch (`None` = absent, no step ran).
-    // Workers write their chunk; the flight recorder reads it *serially* in
-    // device order, so journal contents and drop counts never depend on the
-    // worker split.
-    let mut epoch_actions: Vec<Option<EpochAction>> = vec![None; n];
-
-    // Scenario state: fixed-size per-device vectors allocated once, so
-    // churn never resizes the request/grant geometry (absent devices keep
-    // their slot, request 0.0, and skip their step) and steady-state epochs
-    // stay allocation-free even while devices leave, rejoin, and reboot.
-    let scenario_len = if engine.is_some() { n } else { 0 };
-    let mut active = vec![true; scenario_len];
-    let mut active_epochs = vec![0usize; scenario_len];
-    let mut events = vec![DeviceEvent::Healthy; scenario_len];
-    let mut epoch_cov = vec![0.0f64; scenario_len];
-    let mut epoch_means: Vec<f64> = Vec::with_capacity(if engine.is_some() { epochs } else { 0 });
-    let mut counters = ScenarioCounters::default();
-
-    // Per-member incident phase: staggered and diurnal regimes switch
-    // members individually (the classic one-shot incident is the case where
-    // every member flips at the same two epochs). The onset/exit transitions
-    // also drive each device's recovery clock — baseline coverage before its
-    // first onset, exit epoch, and the first post-exit epoch back at ≥95% of
-    // its own baseline — which the TTR histogram summarizes.
-    let incident_len = if incident.is_some() { n } else { 0 };
-    let mut incident_prev = vec![false; incident_len];
-    let mut ttr_seen_onset = vec![false; incident_len];
-    let mut ttr_base_sum = vec![0.0f64; incident_len];
-    let mut ttr_base_epochs = vec![0usize; incident_len];
-    let mut ttr_exit = vec![usize::MAX; incident_len];
-    let mut ttr: Vec<Option<usize>> = vec![None; incident_len];
-
-    // Watchdog recovery plane. Inert at frac 0: no state is allocated, the
-    // pass never runs, and every output bit matches a pre-watchdog engine.
-    let watchdog_on = cfg.recovery_budget_frac > 0.0;
-    let wd_len = if watchdog_on { n } else { 0 };
-    let mut reprobe_retries = vec![0u32; wd_len];
-    let mut reprobe_due = vec![0usize; wd_len];
-    let mut wd = WatchdogCounters::default();
+    // What each device does this epoch: dealt by the scenario plane, and
+    // `Healthy` throughout when there is none.
+    let mut events = vec![DeviceEvent::Healthy; n];
+    // The step column: workers write their chunk; the ledger, the flight
+    // recorder and the planes read it serially in device order, so nothing
+    // they record depends on the worker split.
+    let mut steps = vec![MemberStep::default(); n];
+    let chunk = crate::shard::chunk_size(n, threads);
 
     for epoch in 0..epochs {
         let t_sched = Instant::now();
-        if let Some(eng) = &engine {
-            // Regime phase boundaries, per member: each device swaps to its
-            // other model when *its own* incident activity flips (staggered
-            // and diurnal regimes switch members individually; the one-shot
-            // incident flips the whole fleet at the same two epochs). The
-            // ground-truth requirement swaps element-wise with the model,
-            // and the transitions clock the per-device recovery tracker.
-            if incident.is_some() {
-                for (i, (member, alt)) in shards
-                    .iter_mut()
-                    .flat_map(|s| s.members.iter_mut())
-                    .zip(alt_models.iter_mut())
-                    .enumerate()
-                {
-                    let now = eng.incident_active(epoch, i);
-                    if now != incident_prev[i] {
-                        member.swap_model(alt);
-                        std::mem::swap(&mut nyquist[i], &mut alt_nyquist[i]);
-                        incident_prev[i] = now;
-                        if now {
-                            // (Re-)entering the incident: the recovery clock
-                            // restarts from the next exit.
-                            ttr_seen_onset[i] = true;
-                            ttr_exit[i] = usize::MAX;
-                            ttr[i] = None;
-                        } else {
-                            ttr_exit[i] = epoch;
-                        }
-                    }
-                }
-            }
-            // Deal this epoch's events — serial, pure hashing, so the fault
-            // schedule is identical for every policy and thread count.
-            // Reboots apply here (cheap state resets) so a rebooted member's
-            // *request* below already reflects its re-ramp.
-            for (i, member) in shards
-                .iter_mut()
-                .flat_map(|s| s.members.iter_mut())
-                .enumerate()
-            {
-                let ev = eng.deal(epoch, i, active[i]);
-                // Lifecycle transitions feed the flight recorder here, in
-                // the serial deal loop, so event order is device order.
-                // Continued absences are counted but not journaled — only
-                // the leave itself is an event.
-                let journal_kind = match ev {
-                    DeviceEvent::Absent => {
-                        let left = active[i];
-                        if left {
-                            counters.leaves += 1;
-                        }
-                        active[i] = false;
-                        counters.absent_epochs += 1;
-                        left.then_some("leave")
-                    }
-                    DeviceEvent::Reboot => {
-                        let joined = !active[i];
-                        if joined {
-                            counters.joins += 1;
-                        }
-                        active[i] = true;
-                        counters.reboots += 1;
-                        member.reboot();
-                        Some(if joined { "join" } else { "reboot" })
-                    }
-                    DeviceEvent::ReportDropped => {
-                        counters.dropped_reports += 1;
-                        Some("report_drop")
-                    }
-                    DeviceEvent::ReportDelayed => {
-                        counters.delayed_reports += 1;
-                        Some("report_delay")
-                    }
-                    DeviceEvent::ReportDuplicated => {
-                        counters.duplicated_reports += 1;
-                        Some("report_dup")
-                    }
-                    // Scheduled sleep is counted, never journaled — like
-                    // continued absences, it is high-volume steady state
-                    // (a duty cycle naps a fixed fraction of the fleet
-                    // every epoch) and would drown the ring.
-                    DeviceEvent::Dormant => {
-                        counters.dormant_epochs += 1;
-                        None
-                    }
-                    DeviceEvent::Healthy => None,
-                };
-                if let (Some(rec), Some(kind)) = (recorder.as_deref_mut(), journal_kind) {
-                    rec.journal(epoch as u32, i as u32, kind, 0.0);
-                }
-                events[i] = ev;
-            }
+        if let Some(plane) = &mut scenario {
+            plane.begin_epoch(
+                epoch,
+                members_mut(&mut shards),
+                &mut nyquist,
+                &mut events,
+                recorder.as_deref_mut(),
+            );
         }
-        if engine.is_some() {
-            for (i, (r, m)) in requests
-                .iter_mut()
-                .zip(shards.iter().flat_map(|s| s.members.iter()))
-                .enumerate()
-            {
-                // Sleeping devices poll nothing: like absences, they request
-                // 0.0 and release their share — but without the request
-                // decay, so the wake epoch re-requests the full rate.
-                *r = if active[i] && events[i] != DeviceEvent::Dormant {
-                    m.requested_rate().value()
-                } else {
-                    0.0
-                };
-            }
-        } else {
-            for (r, m) in requests
-                .iter_mut()
-                .zip(shards.iter().flat_map(|s| s.members.iter()))
-            {
-                *r = m.requested_rate().value();
-            }
+        // Absent and sleeping devices poll nothing: they request 0.0 and
+        // release their share. A sleeper's request does not decay, so its
+        // wake epoch re-requests the full rate.
+        for ((r, m), event) in requests.iter_mut().zip(members(&shards)).zip(&events) {
+            *r = if event.is_silent() {
+                0.0
+            } else {
+                m.requested_rate().value()
+            };
         }
         sched.allocate(&requests, capacity_rate, &mut grants);
-        // Watchdog pass, serial in device order: after the ordinary grants
-        // are placed, force suspect-deadlocked members into a re-probe
-        // above their remembered max, spending at most `frac × budget` of
-        // *extra* rate per epoch — a bounded recovery slice on top of the
-        // budget that can never displace a healthy device's grant. Each
-        // member backs off exponentially between attempts and gives up
-        // after [`REPROBE_RETRY_CAP`]; sleeping and absent members are
-        // never probed. Affordability is peeked before the controller is
-        // committed, so a dry pool perturbs nothing.
-        let mut recovery_rate = 0.0f64;
-        if watchdog_on {
-            let mut pool = cfg.recovery_budget_frac * capacity_rate; // INF stays INF
-            wd.healthy = 0;
-            wd.recovering = 0;
-            wd.suspect = 0;
-            wd.dormant = 0;
-            for (i, member) in shards
-                .iter_mut()
-                .flat_map(|s| s.members.iter_mut())
-                .enumerate()
-            {
-                if engine.is_some() && !active[i] {
-                    continue; // offline: out of the census, never probed
-                }
-                let health = if engine.is_some() && events[i] == DeviceEvent::Dormant {
-                    // The nap is dealt but not yet stepped; the controller's
-                    // own flag still reflects the previous epoch.
-                    HealthState::Dormant
-                } else {
-                    member.sampler().health()
-                };
-                match health {
-                    HealthState::Healthy => wd.healthy += 1,
-                    HealthState::Recovering => wd.recovering += 1,
-                    HealthState::SuspectDeadlocked => wd.suspect += 1,
-                    HealthState::Dormant => wd.dormant += 1,
-                }
-                if health != HealthState::SuspectDeadlocked
-                    || reprobe_retries[i] >= REPROBE_RETRY_CAP
-                    || epoch < reprobe_due[i]
-                {
-                    continue;
-                }
-                let extra = (member.reprobe_rate().value() - grants[i]).max(0.0);
-                if extra > pool {
-                    wd.starved += 1;
-                    continue;
-                }
-                pool -= extra;
-                let target = member.begin_reprobe().value();
-                grants[i] = grants[i].max(target);
-                recovery_rate += extra;
-                wd.reprobes += 1;
-                wd.recovery_granted += extra * epoch_unit;
-                reprobe_retries[i] += 1;
-                reprobe_due[i] = epoch + (1usize << reprobe_retries[i].min(20));
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.journal(epoch as u32, i as u32, "reprobe", target);
-                }
-            }
-        }
+        let recovery_rate = match &mut watchdog {
+            Some(plane) => plane.reprobe(
+                epoch,
+                members_mut(&mut shards),
+                &events,
+                &mut grants,
+                recorder.as_deref_mut(),
+            ),
+            None => 0.0,
+        };
         if let Some(rec) = recorder.as_deref_mut() {
             // Grant distribution histogram: fed serially in device order
             // (recovery top-ups included — they are real granted rate).
@@ -726,147 +529,38 @@ pub fn run_policy_recorded(
         timing.schedule += t_sched.elapsed();
 
         let start = Seconds(epoch as f64 * window.value());
-        let chunk = crate::shard::chunk_size(n, threads);
-        if threads == 1 {
-            let t_step = Instant::now();
-            let ShardState { members, scratch, metrics, .. } = &mut shards[0];
-            if engine.is_some() {
-                for (i, member) in members.iter_mut().enumerate() {
-                    let step = step_scenario_member(
-                        member,
-                        events[i],
-                        scratch,
-                        start,
-                        Hertz(grants[i]),
-                        window,
-                        nyquist[i],
-                    );
-                    metrics.applied.record(events[i]);
-                    if let Some(a) = step.action {
-                        metrics.controller.record(a, step.verified);
-                    }
-                    epoch_actions[i] = step.action;
-                    coverage_sum[i] += step.coverage;
-                    epoch_cov[i] = step.coverage;
-                    epoch_samples[i] = step.samples;
-                    epoch_throttled[i] = step.throttled;
-                    active_epochs[i] += step.counted as usize;
-                }
-            } else {
-                for (i, member) in members.iter_mut().enumerate() {
-                    let report = member.step_epoch(scratch, start, Hertz(grants[i]), window);
-                    metrics.controller.record(report.action, report.verified);
-                    epoch_actions[i] = Some(report.action);
-                    coverage_sum[i] += quality::coverage(report.primary_rate, Hertz(nyquist[i]));
-                    epoch_samples[i] = report.samples_taken;
-                    epoch_throttled[i] = report.throttled;
-                }
-            }
-            timing.step += t_step.elapsed();
-        } else if engine.is_some() {
-            let step_time: Duration = thread::scope(|s| {
+        timing.step += if let [shard] = shards.as_mut_slice() {
+            let t = Instant::now();
+            step_shard(shard, &grants, &nyquist, &events, &mut steps, start, window);
+            t.elapsed()
+        } else {
+            thread::scope(|s| {
                 let handles: Vec<_> = shards
                     .iter_mut()
                     .zip(grants.chunks(chunk))
                     .zip(nyquist.chunks(chunk))
                     .zip(events.chunks(chunk))
-                    .zip(
-                        coverage_sum
-                            .chunks_mut(chunk)
-                            .zip(epoch_cov.chunks_mut(chunk))
-                            .zip(epoch_samples.chunks_mut(chunk))
-                            .zip(epoch_throttled.chunks_mut(chunk))
-                            .zip(active_epochs.chunks_mut(chunk))
-                            .zip(epoch_actions.chunks_mut(chunk)),
-                    )
-                    .map(
-                        |(
-                            (((shard, grants), nyquist), events),
-                            (((((coverage, ecov), samples), throttled), act), actions),
-                        )| {
-                            s.spawn(move || {
-                                let t = Instant::now();
-                                let ShardState { members, scratch, metrics, .. } = shard;
-                                for (i, member) in members.iter_mut().enumerate() {
-                                    let step = step_scenario_member(
-                                        member,
-                                        events[i],
-                                        scratch,
-                                        start,
-                                        Hertz(grants[i]),
-                                        window,
-                                        nyquist[i],
-                                    );
-                                    metrics.applied.record(events[i]);
-                                    if let Some(a) = step.action {
-                                        metrics.controller.record(a, step.verified);
-                                    }
-                                    actions[i] = step.action;
-                                    coverage[i] += step.coverage;
-                                    ecov[i] = step.coverage;
-                                    samples[i] = step.samples;
-                                    throttled[i] = step.throttled;
-                                    act[i] += step.counted as usize;
-                                }
-                                t.elapsed()
-                            })
-                        },
-                    )
+                    .zip(steps.chunks_mut(chunk))
+                    .map(|((((shard, grants), nyquist), events), out)| {
+                        s.spawn(move || {
+                            let t = Instant::now();
+                            step_shard(shard, grants, nyquist, events, out, start, window);
+                            t.elapsed()
+                        })
+                    })
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("fleetsim worker panicked"))
-                    .sum()
-            });
-            timing.step += step_time;
-        } else {
-            let step_time: Duration = thread::scope(|s| {
-                let handles: Vec<_> = shards
-                    .iter_mut()
-                    .zip(grants.chunks(chunk))
-                    .zip(nyquist.chunks(chunk))
-                    .zip(
-                        coverage_sum
-                            .chunks_mut(chunk)
-                            .zip(epoch_samples.chunks_mut(chunk))
-                            .zip(epoch_throttled.chunks_mut(chunk))
-                            .zip(epoch_actions.chunks_mut(chunk)),
-                    )
-                    .map(
-                        |(((shard, grants), nyquist), (((coverage, samples), throttled), actions))| {
-                            s.spawn(move || {
-                                let t = Instant::now();
-                                let ShardState { members, scratch, metrics, .. } = shard;
-                                for (i, member) in members.iter_mut().enumerate() {
-                                    let report =
-                                        member.step_epoch(scratch, start, Hertz(grants[i]), window);
-                                    metrics.controller.record(report.action, report.verified);
-                                    actions[i] = Some(report.action);
-                                    coverage[i] +=
-                                        quality::coverage(report.primary_rate, Hertz(nyquist[i]));
-                                    samples[i] = report.samples_taken;
-                                    throttled[i] = report.throttled;
-                                }
-                                t.elapsed()
-                            })
-                        },
-                    )
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fleetsim worker panicked"))
-                    .sum()
-            });
-            timing.step += step_time;
-        }
+                    .sum::<Duration>()
+            })
+        };
 
         if let Some(rec) = recorder.as_deref_mut() {
-            // Controller transitions feed the flight recorder here, serially
-            // in device order, from the per-device action array the workers
-            // filled — so journal contents (and ring drops) never depend on
-            // the worker split. Holds are not events.
-            for (i, member) in shards.iter().flat_map(|s| s.members.iter()).enumerate() {
-                if let Some(kind) = epoch_actions[i].and_then(metrics::action_kind) {
+            // Controller transitions, journaled in device order. Holds are
+            // not events.
+            for (i, (member, step)) in members(&shards).zip(&steps).enumerate() {
+                if let Some(kind) = step.action.and_then(metrics::action_kind) {
                     rec.journal(epoch as u32, i as u32, kind, member.requested_rate().value());
                 }
             }
@@ -883,18 +577,12 @@ pub fn run_policy_recorded(
         // runs stay bit-identical.)
         let granted: f64 =
             grants.iter().map(|g| g * epoch_unit).sum::<f64>() - recovery_rate * epoch_unit;
-        let samples: usize = epoch_samples.iter().sum();
-        let throttled_devices = epoch_throttled.iter().filter(|&&t| t).count();
-        // Cost asymmetry bills through the ledger only — the schedulers
-        // stay cost-naive, and what that naivety costs is the measurement.
-        let spent = match &cost_factors {
-            Some(f) => epoch_samples
-                .iter()
-                .zip(f)
-                .map(|(&s, &c)| s as f64 * unit_cost * c)
-                .sum(),
-            None => samples as f64 * unit_cost,
-        };
+        let samples: usize = steps.iter().map(|s| s.samples).sum();
+        let throttled_devices = steps.iter().filter(|s| s.throttled).count();
+        let spent = scenario
+            .as_ref()
+            .and_then(|plane| plane.skewed_spend(&steps, unit_cost))
+            .unwrap_or(samples as f64 * unit_cost);
         ledger.record(EpochAccount {
             epoch,
             budget: budget_per_epoch,
@@ -904,32 +592,8 @@ pub fn run_policy_recorded(
             spent,
             throttled_devices,
         });
-        if engine.is_some() {
-            // Fleet mean coverage this epoch (absent devices count as 0):
-            // the recovery trajectory the incident analysis reads.
-            epoch_means.push(epoch_cov.iter().sum::<f64>() / n.max(1) as f64);
-        }
-        if incident.is_some() {
-            // Per-device recovery clock, serial in device order. A device's
-            // baseline is its mean coverage over pre-onset epochs it was
-            // actually awake and present for; after its incident exits, the
-            // first such epoch back at ≥95% of that baseline stamps its
-            // time-to-recover.
-            for i in 0..n {
-                if matches!(events[i], DeviceEvent::Absent | DeviceEvent::Dormant) {
-                    continue;
-                }
-                if !ttr_seen_onset[i] {
-                    ttr_base_sum[i] += epoch_cov[i];
-                    ttr_base_epochs[i] += 1;
-                } else if ttr[i].is_none() && ttr_exit[i] != usize::MAX && ttr_base_epochs[i] > 0
-                {
-                    let threshold = 0.95 * ttr_base_sum[i] / ttr_base_epochs[i] as f64;
-                    if epoch_cov[i] >= threshold {
-                        ttr[i] = Some(epoch - ttr_exit[i]);
-                    }
-                }
-            }
+        if let Some(plane) = &mut scenario {
+            plane.end_epoch(epoch, &events, &steps);
         }
         timing.schedule += t_ledger.elapsed();
 
@@ -943,95 +607,32 @@ pub fn run_policy_recorded(
                     shard: merged_shard_metrics(&shards),
                     fft: fft_handle_totals(&shards),
                     sched: sched.stats(),
-                    dealt: engine.is_some().then_some(&counters),
-                    watchdog: watchdog_on.then_some(wd),
+                    dealt: scenario.as_ref().map(ScenarioPlane::counters),
+                    watchdog: watchdog.as_ref().map(WatchdogPlane::counters),
                 });
             }
         }
     }
 
     let t_quality = Instant::now();
-    // Coverage averages over the epochs a device was actually present for:
-    // an absent device is not "uncovered", it is out of the study — but a
-    // present device whose report was dropped scores the 0 it earned.
-    // Healthy runs divide by the horizon exactly as before.
-    let device_quality: Vec<DeviceQuality> = shards
-        .iter()
-        .flat_map(|s| s.members.iter())
+    // Coverage averages over the epochs a device was actually present and
+    // awake for: an absent device is not "uncovered", it is out of the
+    // study — but a present device whose report was dropped scores the 0
+    // it earned. In a healthy run every epoch counts.
+    let device_quality: Vec<DeviceQuality> = members(&shards)
+        .zip(&steps)
         .enumerate()
-        .map(|(i, m)| DeviceQuality {
+        .map(|(i, (m, step))| DeviceQuality {
             index: i,
             kind: m.kind(),
-            mean_coverage: if engine.is_some() {
-                coverage_sum[i] / active_epochs[i].max(1) as f64
-            } else {
-                coverage_sum[i] / epochs as f64
-            },
+            mean_coverage: step.coverage_sum / step.active_epochs.max(1) as f64,
             final_rate: m.requested_rate().value(),
             deferred_epochs: m.sampler().deferred_epochs(),
             missed_epochs: m.sampler().missed_epochs(),
         })
         .collect();
     let quality = FleetQuality::from_devices(&device_quality);
-    let scenario = engine.as_ref().map(|eng| {
-        let (baseline_coverage, time_to_recover) = eng.recovery(&epoch_means);
-        // Per-device recovery quantiles, summarized through an obs
-        // log-bucket histogram fed in device order (the fleet-mean
-        // `time_to_recover` hides the slow tail the p95 exposes).
-        let mut hist = sweetspot_obs::Histogram::log_scale(1.0, (epochs as f64).max(2.0), 32);
-        let mut recovered_devices = 0usize;
-        let mut unrecovered_devices = 0usize;
-        for i in 0..incident_len {
-            if !ttr_seen_onset[i] {
-                continue;
-            }
-            match ttr[i] {
-                Some(e) => {
-                    recovered_devices += 1;
-                    hist.record(e as f64);
-                }
-                None => unrecovered_devices += 1,
-            }
-        }
-        let (ttr_p50, ttr_p95) = if hist.count() > 0 {
-            (Some(hist.quantile(0.50)), Some(hist.quantile(0.95)))
-        } else {
-            (None, None)
-        };
-        // Aliasing-deadlock census: present devices that end the run both
-        // *classified* suspect-deadlocked (settled below their remembered
-        // max with no aliasing alarm — see [`HealthState`]) and *actually*
-        // under-covering their ground-truth requirement. The intersection
-        // excludes the two benign neighbours: a legitimately-calmed signal
-        // below its old ceiling (suspect but covered), and a budget-starved
-        // device whose detector still flaps (under-covered but alarming —
-        // the scheduler's problem, not a deadlock).
-        let deadlocked = shards
-            .iter()
-            .flat_map(|s| s.members.iter())
-            .enumerate()
-            .filter(|(i, m)| {
-                active[*i]
-                    && nyquist[*i] > 0.0
-                    && m.sampler().health() == HealthState::SuspectDeadlocked
-                    && quality::coverage(m.requested_rate(), Hertz(nyquist[*i])) < 0.95
-            })
-            .count();
-        ScenarioStats {
-            label: scenario_spec.label(),
-            seed: scenario_spec.seed,
-            counters,
-            incident: eng.incident(),
-            baseline_coverage,
-            time_to_recover,
-            ttr_p50,
-            ttr_p95,
-            recovered_devices,
-            unrecovered_devices,
-            deadlocked,
-            epoch_mean_coverage: std::mem::take(&mut epoch_means),
-        }
-    });
+    let scenario = scenario.map(|plane| plane.finish(epochs, members(&shards), &nyquist));
     timing.schedule += t_quality.elapsed();
 
     // Scratch buffers only grow, so post-run capacities are the high-water.
@@ -1047,7 +648,7 @@ pub fn run_policy_recorded(
         applied: merged.applied,
         fft: fft_handle_totals(&shards),
         sched: sched.stats(),
-        watchdog: watchdog_on.then_some(wd),
+        watchdog: watchdog.as_ref().map(WatchdogPlane::counters),
     };
 
     PolicyOutcome {
@@ -1066,106 +667,95 @@ pub fn run_policy_recorded(
     }
 }
 
-/// Steps one member through one epoch under a scenario event. Returns
-/// `(epoch coverage, billed samples, throttled, counted-as-active)`.
-///
-/// Reboots were already applied serially when the event was dealt, so here
-/// `Reboot` steps like `Healthy` (the first post-reboot epoch *is* a normal
-/// epoch, just from re-ramp state). A dropped report takes no samples and
-/// earns no coverage; a delayed report takes (and bills) its samples but
-/// the controller's adaptation froze; a duplicated report bills double.
-/// Per-device outcome of one scenario epoch: the quality/ledger numbers the
-/// epoch loop already consumed as a tuple, plus the controller action and
-/// verification flag the metrics layer tallies.
+/// One device's slot in the step column: what its latest epoch did, plus
+/// the running totals its quality score divides.
+#[derive(Debug, Clone, Copy, Default)]
 struct MemberStep {
+    /// Coverage earned this epoch (0 while absent or asleep).
     coverage: f64,
+    /// Samples billed this epoch.
     samples: usize,
+    /// Whether the grant fell short of the request this epoch.
     throttled: bool,
-    /// Whether this epoch counts toward the device's active-epoch divisor.
-    counted: bool,
-    /// Controller decision this epoch; `None` while the device is absent.
+    /// Controller decision this epoch; `None` while absent or asleep.
     action: Option<EpochAction>,
-    verified: bool,
+    /// Coverage summed over the counted epochs so far.
+    coverage_sum: f64,
+    /// Epochs counted toward the mean coverage: those the device was
+    /// present and awake for.
+    active_epochs: usize,
 }
 
-fn step_scenario_member(
-    member: &mut FleetMember,
-    event: DeviceEvent,
-    scratch: &mut EpochScratch,
+/// The member-step kernel: steps every member on `shard` through the epoch
+/// at `start` at its grant, under its dealt event, and writes each
+/// device's [`MemberStep`] into `out` (the shard's span of the step
+/// column). The shard's metric tallies are bumped inline.
+///
+/// Reboots were already applied when the event was dealt, so `Reboot`
+/// steps like `Healthy` (the first post-reboot epoch *is* a normal epoch,
+/// just from re-ramp state). A dropped report takes no samples; a delayed
+/// report takes (and bills) its samples but the controller's adaptation
+/// froze; a duplicated report bills double.
+fn step_shard(
+    shard: &mut ShardState,
+    grants: &[f64],
+    nyquist: &[f64],
+    events: &[DeviceEvent],
+    out: &mut [MemberStep],
     start: Seconds,
-    grant: Hertz,
     window: Seconds,
-    nyquist: f64,
-) -> MemberStep {
-    let nyquist = Hertz(nyquist);
-    match event {
-        DeviceEvent::Absent => MemberStep {
-            coverage: 0.0,
-            samples: 0,
-            throttled: false,
-            counted: false,
-            action: None,
-            verified: false,
-        },
-        DeviceEvent::Dormant => {
-            // Scheduled sleep: no samples, no report, no deferral, and —
-            // unlike an absence — no request decay; the controller merely
-            // notes its state aged and owes a verification on wake.
-            member.note_dormant_epoch();
-            MemberStep {
-                coverage: 0.0,
-                samples: 0,
-                throttled: false,
-                counted: false,
-                action: None,
-                verified: false,
+) {
+    let ShardState { members, scratch, metrics, .. } = shard;
+    for (i, (member, step)) in members.iter_mut().zip(out).enumerate() {
+        let (event, grant) = (events[i], Hertz(grants[i]));
+        metrics.applied.record(event);
+        let (samples, report) = match event {
+            DeviceEvent::Absent | DeviceEvent::Dormant => {
+                if event == DeviceEvent::Dormant {
+                    // Scheduled sleep: no samples, no report, no deferral
+                    // and — unlike an absence — no request decay; the
+                    // controller merely notes its state aged and owes a
+                    // verification on wake.
+                    member.note_dormant_epoch();
+                }
+                step.coverage = 0.0;
+                step.samples = 0;
+                step.throttled = false;
+                step.action = None;
+                continue;
             }
-        }
-        DeviceEvent::ReportDropped => {
-            let r = member.note_missed_epoch(start, grant, window);
-            MemberStep {
-                coverage: quality::coverage(r.primary_rate, nyquist),
-                samples: 0,
-                throttled: r.throttled,
-                counted: true,
-                action: Some(r.action),
-                verified: r.verified,
+            DeviceEvent::ReportDropped => (0, member.note_missed_epoch(start, grant, window)),
+            DeviceEvent::ReportDelayed => {
+                let r = member.step_epoch_delayed(scratch, start, grant, window);
+                (r.samples_taken, r)
             }
-        }
-        DeviceEvent::ReportDelayed => {
-            let r = member.step_epoch_delayed(scratch, start, grant, window);
-            MemberStep {
-                coverage: quality::coverage(r.primary_rate, nyquist),
-                samples: r.samples_taken,
-                throttled: r.throttled,
-                counted: true,
-                action: Some(r.action),
-                verified: r.verified,
+            DeviceEvent::ReportDuplicated => {
+                let r = member.step_epoch(scratch, start, grant, window);
+                (r.samples_taken * 2, r)
             }
-        }
-        DeviceEvent::ReportDuplicated => {
-            let r = member.step_epoch(scratch, start, grant, window);
-            MemberStep {
-                coverage: quality::coverage(r.primary_rate, nyquist),
-                samples: r.samples_taken * 2,
-                throttled: r.throttled,
-                counted: true,
-                action: Some(r.action),
-                verified: r.verified,
+            DeviceEvent::Healthy | DeviceEvent::Reboot => {
+                let r = member.step_epoch(scratch, start, grant, window);
+                (r.samples_taken, r)
             }
-        }
-        DeviceEvent::Healthy | DeviceEvent::Reboot => {
-            let r = member.step_epoch(scratch, start, grant, window);
-            MemberStep {
-                coverage: quality::coverage(r.primary_rate, nyquist),
-                samples: r.samples_taken,
-                throttled: r.throttled,
-                counted: true,
-                action: Some(r.action),
-                verified: r.verified,
-            }
-        }
+        };
+        metrics.controller.record(report.action, report.verified);
+        step.coverage = quality::coverage(report.primary_rate, Hertz(nyquist[i]));
+        step.samples = samples;
+        step.throttled = report.throttled;
+        step.action = Some(report.action);
+        step.coverage_sum += step.coverage;
+        step.active_epochs += 1;
     }
+}
+
+/// Every member in fleet order.
+fn members(shards: &[ShardState]) -> impl Iterator<Item = &FleetMember> {
+    shards.iter().flat_map(|s| s.members.iter())
+}
+
+/// Every member in fleet order, mutably.
+fn members_mut(shards: &mut [ShardState]) -> impl Iterator<Item = &mut FleetMember> {
+    shards.iter_mut().flat_map(|s| s.members.iter_mut())
 }
 
 /// Folds per-worker [`ShardMetrics`] in shard order — never completion
@@ -1277,31 +867,20 @@ pub struct FleetFrontier {
 /// Budget ladder for the frontier sweep, as fractions of steady demand.
 pub const FRONTIER_FRACTIONS: [f64; 4] = [0.1, 0.25, 0.5, 1.0];
 
-/// Policies swept at every budget rung (the uncapped baseline runs once).
-/// The capped policies a default frontier sweep runs (the uncapped
-/// baseline is implicit — it anchors the budget ladder).
+/// The capped policies a default frontier sweep runs at every budget rung
+/// (the uncapped baseline runs once — it anchors the budget ladder).
 pub const CAPPED_POLICIES: [SchedulerPolicy; 3] = [
     SchedulerPolicy::Uniform,
     SchedulerPolicy::Fair,
     SchedulerPolicy::WaterFill,
 ];
 
-/// Runs the full frontier sweep: the uncapped baseline, then every capped
-/// policy at every [`FRONTIER_FRACTIONS`] rung of the steady demand.
-pub fn run_frontier(cfg: &FleetSimConfig) -> FleetFrontier {
-    run_frontier_for(cfg, &CAPPED_POLICIES)
-}
-
-/// [`run_frontier`] restricted to a chosen set of capped policies (the
-/// uncapped baseline always runs — it anchors the budget ladder).
-pub fn run_frontier_for(cfg: &FleetSimConfig, policies: &[SchedulerPolicy]) -> FleetFrontier {
-    run_frontier_for_recorded(cfg, policies, None)
-}
-
-/// [`run_frontier_for`] with an optional [`MetricsRecorder`]: each frontier
-/// point streams its epoch snapshots through the same recorder, in sweep
-/// order, so one JSONL file carries the whole frontier.
-pub fn run_frontier_for_recorded(
+/// Runs the frontier sweep: the uncapped baseline (it anchors the budget
+/// ladder), then every capped policy in `policies` at every
+/// [`FRONTIER_FRACTIONS`] rung of the steady demand. With a
+/// [`MetricsRecorder`] attached, each point streams its epoch snapshots
+/// through it in sweep order, so one JSONL file carries the whole frontier.
+pub fn run_frontier(
     cfg: &FleetSimConfig,
     policies: &[SchedulerPolicy],
     mut recorder: Option<&mut MetricsRecorder>,
@@ -1341,18 +920,9 @@ pub fn run_frontier_for_recorded(
 }
 
 /// Runs a single budget point: one policy (or, with `policy == None`, all
-/// four) at an absolute per-epoch budget.
+/// four) at an absolute per-epoch budget, with an optional
+/// [`MetricsRecorder`] attached to every policy run.
 pub fn run_point(
-    cfg: &FleetSimConfig,
-    budget_per_epoch: f64,
-    policy: Option<SchedulerPolicy>,
-) -> FleetFrontier {
-    run_point_recorded(cfg, budget_per_epoch, policy, None)
-}
-
-/// [`run_point`] with an optional [`MetricsRecorder`] attached to every
-/// policy run at the point.
-pub fn run_point_recorded(
     cfg: &FleetSimConfig,
     budget_per_epoch: f64,
     policy: Option<SchedulerPolicy>,
@@ -1858,7 +1428,7 @@ mod tests {
             threads: 2,
             ..FleetSimConfig::default()
         };
-        let frontier = run_frontier(&cfg);
+        let frontier = run_frontier(&cfg, &CAPPED_POLICIES, None);
         assert_eq!(frontier.points.len(), 1 + FRONTIER_FRACTIONS.len() * 3);
         let text = frontier.render();
         for name in ["uncapped", "uniform", "fair", "waterfill"] {
@@ -1983,7 +1553,7 @@ mod tests {
     #[test]
     fn run_point_single_policy() {
         let cfg = tiny_config(2);
-        let f = run_point(&cfg, 30.0, Some(SchedulerPolicy::WaterFill));
+        let f = run_point(&cfg, 30.0, Some(SchedulerPolicy::WaterFill), None);
         assert_eq!(f.points.len(), 1);
         assert_eq!(f.points[0].outcome.policy, SchedulerPolicy::WaterFill);
         assert_eq!(f.points[0].outcome.budget_per_epoch, 30.0);
@@ -2126,7 +1696,7 @@ mod tests {
             days: 8.0,
             ..tiny_config(2)
         };
-        let f = run_point(&cfg, 40.0, Some(SchedulerPolicy::WaterFill));
+        let f = run_point(&cfg, 40.0, Some(SchedulerPolicy::WaterFill), None);
         let text = f.render();
         assert!(text.contains("scenario: churn+incident"), "{text}");
         assert!(text.contains("recover"), "{text}");
@@ -2139,7 +1709,7 @@ mod tests {
         assert!(json.contains("deadlocked_devices"), "{json}");
         assert!(json.contains("\"dormant_device_epochs\""), "{json}");
         // Healthy sweeps stay scenario-free in both renderings.
-        let healthy = run_point(&tiny_config(2), 40.0, Some(SchedulerPolicy::WaterFill));
+        let healthy = run_point(&tiny_config(2), 40.0, Some(SchedulerPolicy::WaterFill), None);
         assert!(!healthy.render().contains("scenario"));
         assert!(!healthy.to_json().contains("scenario"));
     }

@@ -82,6 +82,14 @@ pub enum DeviceEvent {
     Dormant,
 }
 
+impl DeviceEvent {
+    /// Whether the device takes no samples and sends no report this epoch
+    /// (offline or asleep).
+    pub fn is_silent(self) -> bool {
+        matches!(self, DeviceEvent::Absent | DeviceEvent::Dormant)
+    }
+}
+
 /// A fleet scenario: per-epoch event probabilities, a regime incident, and
 /// per-device cost asymmetry. `Copy` so it rides inside
 /// [`FleetSimConfig`](super::FleetSimConfig).

@@ -13,7 +13,9 @@
 //!
 //! Both halves are checked under an active churn+lossy scenario, where the
 //! journal, the applied-event counters, and the scheduler's incremental
-//! repair paths all carry real traffic.
+//! repair paths all carry real traffic. The summary invariants are also
+//! checked under the chaos mix (churn + incident + duty cycle) with the
+//! watchdog armed.
 
 use proptest::prelude::*;
 use sweetspot_analysis::fleetsim::{
@@ -38,6 +40,18 @@ fn churn_config(devices: usize, seed: u64, threads: usize) -> FleetSimConfig {
     };
     cfg.scenario = ScenarioSpec::parse("churn+lossy-reports").expect("preset parses");
     cfg.scenario.seed = seed ^ 0xC0FFEE;
+    cfg
+}
+
+/// The chaos mix with the watchdog armed: churn, a regime incident and
+/// duty-cycled sleep, so dormancy, re-probes and the recovery slice all
+/// carry traffic.
+fn chaos_config(devices: usize, seed: u64, threads: usize) -> FleetSimConfig {
+    let mut cfg = churn_config(devices, seed, threads);
+    cfg.scenario = ScenarioSpec::parse("churn+incident+duty").expect("preset parses");
+    cfg.scenario.seed = seed ^ 0xC0FFEE;
+    cfg.days = 8.0;
+    cfg.recovery_budget_frac = 0.25;
     cfg
 }
 
@@ -89,35 +103,51 @@ fn recording_does_not_perturb_the_simulation() {
 
 #[test]
 fn summary_invariants_hold_under_churn() {
-    let (out, jsonl) = recorded(&churn_config(60, 3, 2), 25.0);
-    let m = &out.metrics;
-    // Every FFT lookup either hit or missed.
-    assert_eq!(m.fft.lookups.get(), m.fft.hits.get() + m.fft.misses.get());
-    // Every stepped device epoch got exactly one controller action.
-    assert!(m.controller.stepped() > 0);
-    assert_eq!(
-        m.controller.verified.get() + m.controller.unverified.get(),
-        m.controller.stepped()
-    );
-    // Dealt faults all landed: the scenario summary counts what the dealer
-    // scheduled, the applied counters what the members actually absorbed.
-    let dealt = out.scenario.as_ref().expect("scenario ran").counters;
-    assert_eq!(m.applied.absent_epochs.get(), dealt.absent_epochs as u64);
-    assert_eq!(m.applied.reboot_steps.get(), dealt.reboots as u64);
-    assert_eq!(m.applied.dropped_reports.get(), dealt.dropped_reports as u64);
-    assert_eq!(m.applied.delayed_reports.get(), dealt.delayed_reports as u64);
-    assert_eq!(
-        m.applied.duplicated_reports.get(),
-        dealt.duplicated_reports as u64
-    );
-    // Spot-check the stream against the summary: the last epoch snapshot
-    // carries the same cumulative controller totals.
-    let last_epoch = jsonl
-        .lines()
-        .rev()
-        .find(|l| l.starts_with("{\"type\":\"epoch\""))
-        .expect("at least one snapshot");
-    assert!(last_epoch.contains(&format!("\"lookups\":{}", m.fft.lookups.get())));
+    for (cfg, budget) in [(churn_config(60, 3, 2), 25.0), (chaos_config(56, 11, 2), 25.0)] {
+        let (out, jsonl) = recorded(&cfg, budget);
+        let m = &out.metrics;
+        // Every FFT lookup either hit or missed.
+        assert_eq!(m.fft.lookups.get(), m.fft.hits.get() + m.fft.misses.get());
+        // Every stepped device epoch got exactly one controller action.
+        assert!(m.controller.stepped() > 0);
+        assert_eq!(
+            m.controller.verified.get() + m.controller.unverified.get(),
+            m.controller.stepped()
+        );
+        // Dealt faults all landed: the scenario summary counts what the
+        // dealer scheduled, the applied counters what the members actually
+        // absorbed.
+        let dealt = out.scenario.as_ref().expect("scenario ran").counters;
+        assert_eq!(m.applied.absent_epochs.get(), dealt.absent_epochs as u64);
+        assert_eq!(m.applied.reboot_steps.get(), dealt.reboots as u64);
+        assert_eq!(m.applied.dropped_reports.get(), dealt.dropped_reports as u64);
+        assert_eq!(m.applied.delayed_reports.get(), dealt.delayed_reports as u64);
+        assert_eq!(
+            m.applied.duplicated_reports.get(),
+            dealt.duplicated_reports as u64
+        );
+        assert_eq!(m.applied.dormant_epochs.get(), dealt.dormant_epochs as u64);
+        // The scheduler never grants past the budget; the watchdog's
+        // recovery slice is billed to `spent`, never to `granted`.
+        for account in out.ledger.accounts() {
+            assert!(
+                account.granted <= budget * (1.0 + 1e-9),
+                "epoch {} granted {} over budget {budget}",
+                account.epoch,
+                account.granted
+            );
+        }
+        // Watchdog counters exist exactly when the watchdog is armed.
+        assert_eq!(m.watchdog.is_some(), cfg.recovery_budget_frac > 0.0);
+        // Spot-check the stream against the summary: the last epoch
+        // snapshot carries the same cumulative controller totals.
+        let last_epoch = jsonl
+            .lines()
+            .rev()
+            .find(|l| l.starts_with("{\"type\":\"epoch\""))
+            .expect("at least one snapshot");
+        assert!(last_epoch.contains(&format!("\"lookups\":{}", m.fft.lookups.get())));
+    }
 }
 
 proptest! {

@@ -197,9 +197,16 @@ fn flags(args: &[String], positional: usize) -> Result<Vec<(String, String)>, St
         .collect()
 }
 
+/// Parses a `--name value` number flag. Infinities and NaN are rejected:
+/// no flag means them, and they slip past range checks (`NaN <= 0.0` is
+/// false) into sizes and loop bounds.
 fn flag_f64(flags: &[(String, String)], name: &str, default: f64) -> Result<f64, String> {
     match flags.iter().find(|(n, _)| n == name) {
-        Some((_, v)) => v.parse().map_err(|_| format!("--{name} wants a number, got {v:?}")),
+        Some((_, v)) => match v.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(x),
+            Ok(_) => Err(format!("--{name} wants a finite number, got {v:?}")),
+            Err(_) => Err(format!("--{name} wants a number, got {v:?}")),
+        },
         None => Ok(default),
     }
 }
@@ -552,11 +559,9 @@ fn cmd_fleetsim(args: &[String]) -> Result<(), String> {
     };
     let rec = recorder.as_mut();
     let frontier = match (budget, policy) {
-        (Some(b), p) => fleetsim::run_point_recorded(&cfg, b, p, rec),
-        (None, Some(p)) => fleetsim::run_frontier_for_recorded(&cfg, &[p], rec),
-        (None, None) => {
-            fleetsim::run_frontier_for_recorded(&cfg, &fleetsim::CAPPED_POLICIES, rec)
-        }
+        (Some(b), p) => fleetsim::run_point(&cfg, b, p, rec),
+        (None, Some(p)) => fleetsim::run_frontier(&cfg, &[p], rec),
+        (None, None) => fleetsim::run_frontier(&cfg, &fleetsim::CAPPED_POLICIES, rec),
     };
     if let Some(mut rec) = recorder {
         rec.finish().map_err(|e| {

@@ -441,7 +441,7 @@ fn fleetsim_scenario_diagnostics_name_the_token_and_list_the_vocabulary() {
 
 #[test]
 fn fleetsim_rejects_out_of_range_recovery_budget_frac() {
-    for bad in ["1.5", "-0.1", "nan"] {
+    for bad in ["1.5", "-0.1"] {
         let out = bin()
             .args(["fleetsim", "--devices", "14", "--recovery-budget-frac", bad])
             .output()
@@ -449,6 +449,26 @@ fn fleetsim_rejects_out_of_range_recovery_budget_frac() {
         assert!(!out.status.success(), "--recovery-budget-frac {bad} must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("fraction in [0, 1]"), "{stderr}");
+    }
+}
+
+#[test]
+fn number_flags_reject_non_finite_values() {
+    // `--days inf` used to size the epoch ledger at usize::MAX and panic,
+    // and `--days NaN` slipped past `days <= 0.0` into a 1-epoch run.
+    let cases: [&[&str]; 5] = [
+        &["fleetsim", "--devices", "14", "--days", "inf", "--budget", "100", "--policy", "fair"],
+        &["fleetsim", "--devices", "14", "--days", "NaN"],
+        &["fleetsim", "--devices", "14", "--recovery-budget-frac", "nan"],
+        &["demo", "--days", "inf"],
+        &["demo", "--days", "-inf"],
+    ];
+    for args in cases {
+        let out = bin().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("wants a finite number"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
 
