@@ -1,12 +1,13 @@
 //! DSP kernel microbenchmarks: the primitives every experiment sits on.
 //!
-//! Covers both FFT paths (radix-2 and Bluestein), PSD estimation, Goertzel,
-//! Fourier resampling and the end-to-end Nyquist estimator.
+//! Covers the three FFT kernels (radix-2, mixed-radix and Bluestein), PSD
+//! estimation, Goertzel, Fourier resampling and the end-to-end Nyquist
+//! estimator.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
-use sweetspot_dsp::fft::FftPlanner;
+use sweetspot_dsp::fft::{FftKernel, FftPlanner};
 use sweetspot_dsp::goertzel::goertzel_power;
 use sweetspot_dsp::psd::{periodogram, welch, PsdConfig, WelchConfig};
 use sweetspot_dsp::resample::resample_fft;
@@ -85,10 +86,12 @@ fn welch_promote_reference(planner: &mut FftPlanner, samples: &[f64], seg_len: u
 }
 
 fn bench(c: &mut Criterion) {
-    // FFT: power-of-two (radix-2) vs arbitrary length (Bluestein).
-    for n in [1024usize, 1000, 4096, 2880] {
+    // FFT, one row per kernel the planner dispatches to: power-of-two
+    // (radix-2), 5-smooth (mixed-radix: 1000 and the 60 s / 30 s day-trace
+    // lengths 1440 and 2880) and prime (Bluestein).
+    for n in [1024usize, 1000, 4096, 1440, 2880, 2879] {
         let sig = signal(n);
-        let label = if n.is_power_of_two() { "radix2" } else { "bluestein" };
+        let label = FftKernel::for_len(n).name();
         c.bench_function(&format!("fft/{label}_{n}"), |b| {
             let mut planner = FftPlanner::new();
             let buf: Vec<Complex64> = sig.iter().map(|&x| Complex64::from_real(x)).collect();
@@ -100,7 +103,7 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // PSD estimation. 2880 is one day at 30 s (Bluestein); 4096/8192 are the
+    // PSD estimation. 2880 is one day at 30 s (mixed-radix); 4096/8192 are the
     // power-of-two lengths the real-input fast path is judged on. The
     // `periodogram_promote_*` rows time the pre-rework full-complex path in
     // the same run, so the rfft speedup factor is load-independent.

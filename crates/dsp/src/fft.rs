@@ -1,16 +1,22 @@
 //! Fast Fourier transforms.
 //!
-//! Three algorithms cover all input lengths:
+//! Four algorithms cover all input lengths; [`FftKernel::for_len`] names the
+//! complex one a length dispatches to, and only its factorization decides:
 //!
 //! * **Iterative radix-2 Cooley–Tukey** (decimation in time, bit-reversed
 //!   input ordering) for power-of-two lengths.
+//! * A **Stockham autosort mixed-radix transform** (radix-4/2/3/5 stages,
+//!   natural order in and out) for the other *5-smooth* lengths — those with
+//!   no prime factor above 5. Every production day-trace length is one:
+//!   2880, 1440 and 288 samples at 30, 60 and 300 s polls.
 //! * **Bluestein's chirp-z algorithm** for everything else, which re-expresses
 //!   an arbitrary-length DFT as a linear convolution evaluated with
 //!   power-of-two FFTs of length `≥ 2N − 1`.
 //! * A **packed real-input fast path** for even lengths: a length-`N` real
-//!   transform is evaluated as one length-`N/2` complex FFT plus a
-//!   conjugate-symmetric untangle pass — half the complex FFT work of the
-//!   naive "promote to complex" route.
+//!   transform is evaluated as one length-`N/2` complex FFT (on whichever of
+//!   the three kernels above serves `N/2`) plus a conjugate-symmetric
+//!   untangle pass — half the complex FFT work of the naive "promote to
+//!   complex" route.
 //!
 //! [`FftPlanner`] caches twiddle tables, Bluestein chirps, real-transform
 //! untangle twiddles and window-coefficient tables per length, so repeated
@@ -70,6 +76,52 @@ pub fn one_sided_len(n: usize) -> usize {
     }
 }
 
+/// Returns `true` if `n ≥ 1` has no prime factor other than 2, 3 and 5.
+fn is_5_smooth(mut n: usize) -> bool {
+    if n == 0 {
+        return false;
+    }
+    for p in [2, 3, 5] {
+        while n.is_multiple_of(p) {
+            n /= p;
+        }
+    }
+    n == 1
+}
+
+/// The complex transform a length dispatches to (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FftKernel {
+    /// Iterative radix-2 Cooley–Tukey, for powers of two.
+    Radix2,
+    /// Stockham mixed-radix, for other lengths with no prime factor above 5.
+    MixedRadix,
+    /// Bluestein's chirp-z convolution, for every other length.
+    Bluestein,
+}
+
+impl FftKernel {
+    /// The kernel a length-`n` complex transform runs on.
+    pub fn for_len(n: usize) -> Self {
+        if is_pow2(n) {
+            FftKernel::Radix2
+        } else if is_5_smooth(n) {
+            FftKernel::MixedRadix
+        } else {
+            FftKernel::Bluestein
+        }
+    }
+
+    /// Short label: `radix2`, `mixed` or `bluestein`.
+    pub fn name(self) -> &'static str {
+        match self {
+            FftKernel::Radix2 => "radix2",
+            FftKernel::MixedRadix => "mixed",
+            FftKernel::Bluestein => "bluestein",
+        }
+    }
+}
+
 /// Reusable scratch space for the planner's transforms.
 ///
 /// Every [`FftPlanner`] owns one (used by the planner-internal convenience
@@ -78,7 +130,8 @@ pub fn one_sided_len(n: usize) -> usize {
 /// demand and are reused across calls — steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct FftScratch {
-    /// Bluestein convolution buffer (length `m = next_pow2(2n − 1)`).
+    /// Bluestein convolution buffer (length `m = next_pow2(2n − 1)`), or the
+    /// second ping-pong buffer of a mixed-radix transform (length `≥ n`).
     conv: Vec<Complex64>,
     /// Packed half-length buffer for the real-input fast path.
     half: Vec<Complex64>,
@@ -181,6 +234,189 @@ impl Pow2Plan {
     }
 }
 
+/// `z · (−i)`, exact.
+#[inline(always)]
+fn mul_neg_i(z: Complex64) -> Complex64 {
+    Complex64::new(z.im, -z.re)
+}
+
+#[inline(always)]
+fn butterfly2([a0, a1]: [Complex64; 2]) -> [Complex64; 2] {
+    [a0 + a1, a0 - a1]
+}
+
+#[inline(always)]
+fn butterfly3([a0, a1, a2]: [Complex64; 3]) -> [Complex64; 3] {
+    // sin(2π/3); cos(2π/3) = −1/2 is exact.
+    const S1: f64 = 0.866_025_403_784_438_6;
+    let t1 = a1 + a2;
+    let m1 = a0 - t1.scale(0.5);
+    let m2 = mul_neg_i(a1 - a2).scale(S1);
+    [a0 + t1, m1 + m2, m1 - m2]
+}
+
+#[inline(always)]
+fn butterfly4([a0, a1, a2, a3]: [Complex64; 4]) -> [Complex64; 4] {
+    let t0 = a0 + a2;
+    let t1 = a0 - a2;
+    let t2 = a1 + a3;
+    let t3 = mul_neg_i(a1 - a3);
+    [t0 + t2, t1 + t3, t0 - t2, t1 - t3]
+}
+
+#[inline(always)]
+fn butterfly5([a0, a1, a2, a3, a4]: [Complex64; 5]) -> [Complex64; 5] {
+    // cos and sin of 2π/5 and 4π/5.
+    const C1: f64 = 0.309_016_994_374_947_45;
+    const C2: f64 = -0.809_016_994_374_947_5;
+    const S1: f64 = 0.951_056_516_295_153_5;
+    const S2: f64 = 0.587_785_252_292_473_1;
+    let t1 = a1 + a4;
+    let t2 = a2 + a3;
+    let t3 = a1 - a4;
+    let t4 = a2 - a3;
+    let b1 = a0 + t1.scale(C1) + t2.scale(C2);
+    let b2 = a0 + t1.scale(C2) + t2.scale(C1);
+    let d1 = mul_neg_i(t3.scale(S1) + t4.scale(S2));
+    let d2 = mul_neg_i(t3.scale(S2) - t4.scale(S1));
+    [a0 + t1 + t2, b1 + d1, b2 + d2, b2 - d2, b1 - d1]
+}
+
+/// One radix-`P` Stockham stage (decimation in frequency).
+///
+/// `src` holds `s` interleaved sub-transforms of length `l = len/s`: element
+/// `t` of sub-transform `q` sits at `q + s·t`. Splitting `t = j + r·m` with
+/// `m = l/P`, the stage writes `w_l^{jk} · Σ_r src[q + s(j + rm)] w_P^{rk}` to
+/// `dst[q + s(Pj + k)]` — the `P·s` interleaved length-`m` sub-transforms the
+/// next stage reads, in the order that leaves the last stage's output
+/// sorted. `tw[j(P−1) + k−1] = w_l^{jk}`.
+#[inline(always)]
+fn stockham_stage<const P: usize>(
+    src: &[Complex64],
+    dst: &mut [Complex64],
+    tw: &[Complex64],
+    s: usize,
+    butterfly: impl Fn([Complex64; P]) -> [Complex64; P],
+) {
+    let row = src.len() / P;
+    if s == 1 {
+        // First stage: one butterfly per group, so index rows directly.
+        let ins: [&[Complex64]; P] = std::array::from_fn(|r| &src[r * row..][..row]);
+        for (j, (out, w)) in dst.chunks_exact_mut(P).zip(tw.chunks_exact(P - 1)).enumerate() {
+            let y = butterfly(std::array::from_fn(|r| ins[r][j]));
+            out[0] = y[0];
+            for k in 1..P {
+                out[k] = y[k] * w[k - 1];
+            }
+        }
+        return;
+    }
+    for (j, (out, w)) in dst
+        .chunks_exact_mut(s * P)
+        .zip(tw.chunks_exact(P - 1))
+        .enumerate()
+    {
+        // Input `r` of every butterfly in this group is `ins[r][q]`, output
+        // `k` is `outs[k][q]`: `P` contiguous runs of `s` on each side.
+        let ins: [&[Complex64]; P] = std::array::from_fn(|r| &src[r * row + s * j..][..s]);
+        let mut outs = out.chunks_exact_mut(s);
+        let outs: [&mut [Complex64]; P] =
+            std::array::from_fn(|_| outs.next().expect("a group holds P runs of s"));
+        for q in 0..s {
+            let y = butterfly(std::array::from_fn(|r| ins[r][q]));
+            outs[0][q] = y[0];
+            for k in 1..P {
+                outs[k][q] = y[k] * w[k - 1];
+            }
+        }
+    }
+}
+
+/// Precomputed tables for a Stockham autosort transform of a 5-smooth,
+/// non-power-of-two length.
+///
+/// Each stage reads one buffer and writes the other — the caller's buffer
+/// and a scratch buffer of the same length — so no stage needs a
+/// permutation pass and the output lands in natural order.
+struct MixedRadixPlan {
+    len: usize,
+    /// Stage radices in run order: 4s, at most one 2, then 3s, then 5s.
+    radices: Vec<usize>,
+    /// Every stage's twiddles, stage after stage (see [`stockham_stage`]).
+    /// A radix-`p` stage over length-`l` sub-transforms holds `l − l/p`
+    /// entries, so the stages telescope to `len − 1` in all.
+    twiddles: Vec<Complex64>,
+}
+
+impl MixedRadixPlan {
+    fn new(len: usize) -> Self {
+        debug_assert!(is_5_smooth(len) && !is_pow2(len));
+        let mut radices = Vec::new();
+        let mut rest = len;
+        for p in [4, 2, 3, 5] {
+            while rest.is_multiple_of(p) {
+                radices.push(p);
+                rest /= p;
+            }
+        }
+        let mut twiddles = quantized_table::<Complex64>(len - 1);
+        let mut s = 1;
+        for &p in &radices {
+            let m = len / (s * p);
+            for j in 0..m {
+                for k in 1..p {
+                    // w_l^{jk} = w_len^{jks}; reduce the exponent first so
+                    // every twiddle is one exactly-rounded angle.
+                    let e = (j * k * s) % len;
+                    twiddles.push(Complex64::cis(-2.0 * PI * e as f64 / len as f64));
+                }
+            }
+            s *= p;
+        }
+        MixedRadixPlan { len, radices, twiddles }
+    }
+
+    /// Heap bytes this plan's tables hold (capacities, not lengths).
+    fn table_bytes(&self) -> usize {
+        self.twiddles.capacity() * std::mem::size_of::<Complex64>()
+            + self.radices.capacity() * std::mem::size_of::<usize>()
+    }
+
+    /// In-place forward transform; `work` is the ping-pong buffer (grown to
+    /// `len` on first use, never shrunk).
+    fn fft(&self, buf: &mut [Complex64], work: &mut Vec<Complex64>) {
+        let n = self.len;
+        debug_assert_eq!(buf.len(), n);
+        if work.len() < n {
+            work.resize(n, Complex64::ZERO);
+        }
+        let work = &mut work[..n];
+        let mut tw = &self.twiddles[..];
+        let mut s = 1;
+        let mut in_buf = true;
+        for &p in &self.radices {
+            let (src, dst) = if in_buf {
+                (&*buf, &mut *work)
+            } else {
+                (&*work, &mut *buf)
+            };
+            let (stage_tw, rest) = tw.split_at(n / s - n / (s * p));
+            match p {
+                2 => stockham_stage::<2>(src, dst, stage_tw, s, butterfly2),
+                3 => stockham_stage::<3>(src, dst, stage_tw, s, butterfly3),
+                4 => stockham_stage::<4>(src, dst, stage_tw, s, butterfly4),
+                _ => stockham_stage::<5>(src, dst, stage_tw, s, butterfly5),
+            }
+            tw = rest;
+            s *= p;
+            in_buf = !in_buf;
+        }
+        if !in_buf {
+            buf.copy_from_slice(work);
+        }
+    }
+}
+
 /// Precomputed state for a Bluestein transform of arbitrary length `n`.
 struct BluesteinPlan {
     n: usize,
@@ -266,6 +502,7 @@ impl BluesteinPlan {
 #[derive(Clone)]
 enum Plan {
     Pow2(Arc<Pow2Plan>),
+    Mixed(Arc<MixedRadixPlan>),
     Bluestein(Arc<BluesteinPlan>),
 }
 
@@ -273,6 +510,7 @@ impl Plan {
     fn fft(&self, buf: &mut [Complex64], conv: &mut Vec<Complex64>) {
         match self {
             Plan::Pow2(p) => p.fft(buf),
+            Plan::Mixed(p) => p.fft(buf, conv),
             Plan::Bluestein(p) => p.fft(buf, conv),
         }
     }
@@ -282,6 +520,7 @@ impl Plan {
     fn table_bytes(&self) -> usize {
         match self {
             Plan::Pow2(p) => p.table_bytes(),
+            Plan::Mixed(p) => p.table_bytes(),
             Plan::Bluestein(p) => p.table_bytes(),
         }
     }
@@ -487,19 +726,13 @@ struct Cached<T> {
     last_used: u64,
 }
 
-/// Which cache map an eviction victim lives in.
-enum Victim {
-    Pow2(usize),
-    Bluestein(usize),
-    Real(usize),
-    Window(Window, usize),
-}
-
-/// Map-qualified table identity, for remembering what has been evicted so a
-/// later re-build of the same table can be billed as churn.
+/// Map-qualified table identity: names an eviction victim's map, and is
+/// remembered after eviction so a later re-build of the same table can be
+/// billed as churn.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum TableKey {
     Pow2(usize),
+    Mixed(usize),
     Bluestein(usize),
     Real(usize),
     Window(Window, usize),
@@ -516,6 +749,7 @@ enum TableKey {
 #[derive(Default)]
 struct PlanTables {
     pow2: HashMap<usize, Cached<Pow2Plan>>,
+    mixed: HashMap<usize, Cached<MixedRadixPlan>>,
     bluestein: HashMap<usize, Cached<BluesteinPlan>>,
     real: HashMap<usize, Cached<RealPlan>>,
     windows: HashMap<(Window, usize), Cached<WindowTable>>,
@@ -573,25 +807,44 @@ impl PlanTables {
     }
 
     fn plan(&mut self, len: usize) -> Plan {
-        if is_pow2(len) {
-            Plan::Pow2(self.pow2_plan(len))
-        } else {
-            let tick = self.stamp();
-            if let Some(e) = self.bluestein.get_mut(&len) {
-                e.last_used = tick;
-                return Plan::Bluestein(e.plan.clone());
-            }
-            let m = next_pow2(2 * len - 1);
-            let inner = self.pow2_plan(m);
-            let plan = Arc::new(BluesteinPlan::new(len, inner));
-            let bytes = plan.table_bytes();
-            self.resident += bytes;
-            self.note_build(TableKey::Bluestein(len), bytes);
-            let tick = self.stamp();
-            self.bluestein.insert(len, Cached { plan: plan.clone(), bytes, last_used: tick });
-            self.enforce_budget();
-            Plan::Bluestein(plan)
+        match FftKernel::for_len(len) {
+            FftKernel::Radix2 => Plan::Pow2(self.pow2_plan(len)),
+            FftKernel::MixedRadix => Plan::Mixed(self.mixed_plan(len)),
+            FftKernel::Bluestein => Plan::Bluestein(self.bluestein_plan(len)),
         }
+    }
+
+    fn mixed_plan(&mut self, len: usize) -> Arc<MixedRadixPlan> {
+        let tick = self.stamp();
+        if let Some(e) = self.mixed.get_mut(&len) {
+            e.last_used = tick;
+            return e.plan.clone();
+        }
+        let plan = Arc::new(MixedRadixPlan::new(len));
+        let bytes = plan.table_bytes();
+        self.resident += bytes;
+        self.note_build(TableKey::Mixed(len), bytes);
+        self.mixed.insert(len, Cached { plan: plan.clone(), bytes, last_used: tick });
+        self.enforce_budget();
+        plan
+    }
+
+    fn bluestein_plan(&mut self, len: usize) -> Arc<BluesteinPlan> {
+        let tick = self.stamp();
+        if let Some(e) = self.bluestein.get_mut(&len) {
+            e.last_used = tick;
+            return e.plan.clone();
+        }
+        let m = next_pow2(2 * len - 1);
+        let inner = self.pow2_plan(m);
+        let plan = Arc::new(BluesteinPlan::new(len, inner));
+        let bytes = plan.table_bytes();
+        self.resident += bytes;
+        self.note_build(TableKey::Bluestein(len), bytes);
+        let tick = self.stamp();
+        self.bluestein.insert(len, Cached { plan: plan.clone(), bytes, last_used: tick });
+        self.enforce_budget();
+        plan
     }
 
     fn real_plan(&mut self, n: usize) -> Arc<RealPlan> {
@@ -637,8 +890,8 @@ impl PlanTables {
         let Some(budget) = self.budget else { return };
         while self.resident > budget {
             let newest = self.tick;
-            let mut victim: Option<(Victim, u64)> = None;
-            let mut consider = |cand: Victim, last_used: u64| {
+            let mut victim: Option<(TableKey, u64)> = None;
+            let mut consider = |cand: TableKey, last_used: u64| {
                 if last_used != newest
                     && victim.as_ref().is_none_or(|(_, lu)| last_used < *lu)
                 {
@@ -646,32 +899,30 @@ impl PlanTables {
                 }
             };
             for (&k, e) in &self.pow2 {
-                consider(Victim::Pow2(k), e.last_used);
+                consider(TableKey::Pow2(k), e.last_used);
+            }
+            for (&k, e) in &self.mixed {
+                consider(TableKey::Mixed(k), e.last_used);
             }
             for (&k, e) in &self.bluestein {
-                consider(Victim::Bluestein(k), e.last_used);
+                consider(TableKey::Bluestein(k), e.last_used);
             }
             for (&k, e) in &self.real {
-                consider(Victim::Real(k), e.last_used);
+                consider(TableKey::Real(k), e.last_used);
             }
             for (&(w, n), e) in &self.windows {
-                consider(Victim::Window(w, n), e.last_used);
+                consider(TableKey::Window(w, n), e.last_used);
             }
             let Some((key, _)) = victim else { return };
-            let (table_key, bytes) = match key {
-                Victim::Pow2(k) => (TableKey::Pow2(k), self.pow2.remove(&k).map(|e| e.bytes)),
-                Victim::Bluestein(k) => (
-                    TableKey::Bluestein(k),
-                    self.bluestein.remove(&k).map(|e| e.bytes),
-                ),
-                Victim::Real(k) => (TableKey::Real(k), self.real.remove(&k).map(|e| e.bytes)),
-                Victim::Window(w, n) => (
-                    TableKey::Window(w, n),
-                    self.windows.remove(&(w, n)).map(|e| e.bytes),
-                ),
+            let bytes = match key {
+                TableKey::Pow2(k) => self.pow2.remove(&k).map(|e| e.bytes),
+                TableKey::Mixed(k) => self.mixed.remove(&k).map(|e| e.bytes),
+                TableKey::Bluestein(k) => self.bluestein.remove(&k).map(|e| e.bytes),
+                TableKey::Real(k) => self.real.remove(&k).map(|e| e.bytes),
+                TableKey::Window(w, n) => self.windows.remove(&(w, n)).map(|e| e.bytes),
             };
             let bytes = bytes.unwrap_or(0);
-            self.note_evict(table_key, bytes);
+            self.note_evict(key, bytes);
             self.resident -= bytes;
         }
     }
@@ -1059,7 +1310,7 @@ mod tests {
     #[test]
     fn real_input_spectrum_is_conjugate_symmetric() {
         let mut p = FftPlanner::new();
-        let n = 90; // even but non-pow2: packed rfft over a Bluestein half
+        let n = 90; // even but non-pow2: packed rfft over a mixed-radix half
         let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.21).sin() + 0.3).collect();
         let spec = p.fft_real(&input);
         for k in 1..n {
@@ -1072,8 +1323,9 @@ mod tests {
     #[test]
     fn rfft_one_sided_matches_full_complex_fft() {
         let mut p = FftPlanner::new();
-        // Even pow2, even Bluestein-half, odd, and tiny lengths.
-        for n in [2usize, 4, 8, 64, 256, 6, 10, 12, 90, 100, 1000, 3, 7, 101] {
+        // Even pow2, even mixed-radix-half, even Bluestein-half, odd, and
+        // tiny lengths.
+        for n in [2usize, 4, 8, 64, 256, 6, 10, 12, 90, 100, 1000, 14, 202, 3, 7, 101] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.731).sin() + 0.2).collect();
             let mut one_sided = Vec::new();
             p.fft_real_into(&input, &mut one_sided);
@@ -1095,7 +1347,7 @@ mod tests {
     #[test]
     fn rfft_roundtrip_recovers_signal() {
         let mut p = FftPlanner::new();
-        for n in [1usize, 2, 4, 12, 64, 90, 100, 3, 7, 101, 255] {
+        for n in [1usize, 2, 4, 12, 64, 90, 100, 202, 3, 7, 101, 255] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.413).cos() - 0.7).collect();
             let mut spec = Vec::new();
             p.fft_real_into(&input, &mut spec);
@@ -1244,31 +1496,146 @@ mod tests {
         p.ifft_real_into(&[Complex64::ONE; 4], 8, &mut out);
     }
 
+    /// Every 5-smooth non-power-of-two length in `2..=512`, plus the
+    /// production day-trace lengths around it (720 … 4320).
+    fn mixed_lengths() -> impl Iterator<Item = usize> {
+        (2..=512)
+            .filter(|&n| FftKernel::for_len(n) == FftKernel::MixedRadix)
+            .chain([720, 1440, 2880, 4320])
+    }
+
+    fn test_signal(n: usize) -> Vec<Complex64> {
+        (0..n)
+            .map(|i| Complex64::new((i as f64 * 0.37).sin() + 0.2, (i as f64 * 0.11).cos()))
+            .collect()
+    }
+
+    /// Largest bin error relative to the largest reference bin.
+    fn rel_err(got: &[Complex64], want: &[Complex64]) -> f64 {
+        assert_eq!(got.len(), want.len());
+        let scale = want.iter().map(|c| c.norm()).fold(1.0, f64::max);
+        got.iter().zip(want).map(|(a, b)| (*a - *b).norm()).fold(0.0, f64::max) / scale
+    }
+
+    #[test]
+    fn dispatch_follows_the_factorization() {
+        assert_eq!(FftKernel::for_len(2048), FftKernel::Radix2);
+        assert_eq!(FftKernel::for_len(1440), FftKernel::MixedRadix);
+        assert_eq!(FftKernel::for_len(1441), FftKernel::Bluestein); // 11 · 131
+        assert_eq!(FftKernel::for_len(2879), FftKernel::Bluestein); // prime
+        let names: Vec<_> = [2048, 1440, 2879].map(|n| FftKernel::for_len(n).name()).into();
+        assert_eq!(names, ["radix2", "mixed", "bluestein"]);
+
+        let mut tables = PlanTables::default();
+        assert!(matches!(tables.plan(2048), Plan::Pow2(_)));
+        assert!(matches!(tables.plan(1440), Plan::Mixed(_)));
+        assert!(matches!(tables.plan(1441), Plan::Bluestein(_)));
+        assert!(matches!(tables.plan(2879), Plan::Bluestein(_)));
+        // The packed real path runs on whichever kernel serves its half.
+        assert!(matches!(tables.real_plan(2880).inner, Plan::Mixed(_)));
+        assert!(matches!(tables.real_plan(5758).inner, Plan::Bluestein(_)));
+        assert!(matches!(tables.real_plan(4096).inner, Plan::Pow2(_)));
+    }
+
+    #[test]
+    fn mixed_radix_matches_naive_dft_on_every_5_smooth_length() {
+        let mut p = FftPlanner::new();
+        for n in mixed_lengths() {
+            let input = test_signal(n);
+            let expected = dft_naive(&input);
+            let mut buf = input;
+            p.fft_in_place(&mut buf);
+            let err = rel_err(&buf, &expected);
+            assert!(err < 1e-13, "n={n}: relative error {err:e}");
+        }
+    }
+
+    #[test]
+    fn mixed_radix_agrees_with_bluestein_of_the_same_length() {
+        let mut p = FftPlanner::new();
+        let mut conv = Vec::new();
+        for n in mixed_lengths() {
+            let input = test_signal(n);
+            let bluestein = BluesteinPlan::new(n, Arc::new(Pow2Plan::new(next_pow2(2 * n - 1))));
+            let mut want = input.clone();
+            bluestein.fft(&mut want, &mut conv);
+            let mut got = input;
+            p.fft_in_place(&mut got);
+            let err = rel_err(&got, &want);
+            assert!(err < 1e-9, "n={n}: relative error {err:e}");
+        }
+    }
+
+    #[test]
+    fn mixed_radix_roundtrip_is_identity() {
+        let mut p = FftPlanner::new();
+        for n in mixed_lengths() {
+            let orig = test_signal(n);
+            let mut buf = orig.clone();
+            p.fft_in_place(&mut buf);
+            p.ifft_in_place(&mut buf);
+            let err = rel_err(&buf, &orig);
+            assert!(err < 1e-13, "n={n}: relative error {err:e}");
+        }
+    }
+
+    #[test]
+    fn real_transforms_over_mixed_radix_match_naive_dft() {
+        let mut p = FftPlanner::new();
+        // Even lengths with a 5-smooth half (packed path over a mixed-radix
+        // half) and odd 5-smooth lengths (complex fallback on the kernel).
+        for n in [90usize, 288, 2880, 45, 225, 2025] {
+            let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.731).sin() + 0.2).collect();
+            let promoted: Vec<Complex64> = input.iter().map(|&x| Complex64::from_real(x)).collect();
+            let expected = dft_naive(&promoted);
+            let mut spec = Vec::new();
+            p.fft_real_into(&input, &mut spec);
+            let err = rel_err(&spec, &expected[..one_sided_len(n)]);
+            assert!(err < 1e-13, "n={n}: relative error {err:e}");
+            let mut back = Vec::new();
+            p.ifft_real_into(&spec, n, &mut back);
+            for (a, b) in input.iter().zip(&back) {
+                assert!((a - b).abs() < 1e-12, "n={n}: {a} vs {b}");
+            }
+        }
+    }
+
     #[test]
     fn table_budget_bounds_the_cache() {
         let mut p = FftPlanner::new();
-        // Sweep many distinct non-power-of-two lengths: unbounded, the
-        // cache grows with every one.
         let mut buf = Vec::new();
-        for n in (101..151).step_by(2) {
+        let mut run = |p: &mut FftPlanner, n: usize| {
             buf.clear();
             buf.resize(n, Complex64::ONE);
             p.fft_in_place(&mut buf);
+        };
+        // Sweep many distinct non-power-of-two lengths, Bluestein and
+        // mixed-radix alike: unbounded, the cache grows with every one.
+        for n in [720, 1440, 2880].into_iter().chain((101..151).step_by(2)) {
+            run(&mut p, n);
         }
         let unbounded = p.table_bytes();
         assert!(unbounded > 100_000, "expected a grown cache, got {unbounded} B");
+        let mixed_bytes: usize = {
+            let tables = p.tables.lock().unwrap();
+            tables.mixed.values().map(|e| e.bytes).sum()
+        };
+        // 720, 1440, 2880, 125 and 135 hold len − 1 twiddles each.
+        let twiddles = 719 + 1439 + 2879 + 124 + 134;
+        assert!(mixed_bytes >= twiddles * std::mem::size_of::<Complex64>(), "{mixed_bytes}");
 
         // Capping evicts down to the budget immediately...
         let budget = unbounded / 8;
         p.set_table_budget(Some(budget));
         assert!(p.table_bytes() <= budget, "{} > {budget}", p.table_bytes());
         // ...and the cap holds across further sweeps of fresh lengths.
-        for n in (201..251).step_by(2) {
-            buf.clear();
-            buf.resize(n, Complex64::ONE);
-            p.fft_in_place(&mut buf);
+        for n in (201..251).step_by(2).chain([500, 540, 600, 640, 675, 729, 750, 800]) {
+            run(&mut p, n);
+            assert!(p.table_bytes() <= budget, "n={n}: {} > {budget}", p.table_bytes());
         }
-        assert!(p.table_bytes() <= budget, "{} > {budget}", p.table_bytes());
+        let tables = p.tables.lock().unwrap();
+        assert!(!tables.mixed.contains_key(&2880));
+        assert!(tables.evicted_keys.contains(&TableKey::Mixed(2880)));
     }
 
     #[test]
@@ -1276,29 +1643,41 @@ mod tests {
         // Same input, three regimes: unbounded cache, a cache so small every
         // plan is rebuilt from scratch, and a rebuilt-after-eviction plan.
         // Tables are pure functions of length, so all spectra must match
-        // bit for bit.
-        let input: Vec<f64> = (0..300).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut unbounded = FftPlanner::new();
-        let mut reference = Vec::new();
-        unbounded.fft_real_into(&input, &mut reference);
+        // bit for bit — for real plans over mixed-radix halves (300, 2880),
+        // the odd mixed-radix fallback (225) and a Bluestein half (302).
+        for n in [300usize, 2880, 225, 302] {
+            let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let mut unbounded = FftPlanner::new();
+            let mut reference = Vec::new();
+            unbounded.fft_real_into(&input, &mut reference);
 
-        let mut tiny = FftPlanner::new();
-        tiny.set_table_budget(Some(1));
-        let mut out = Vec::new();
-        for _ in 0..3 {
-            // Alternate lengths so each request misses and rebuilds.
-            let mut churn = vec![Complex64::ONE; 77];
-            tiny.fft_in_place(&mut churn);
-            tiny.fft_real_into(&input, &mut out);
-            assert_eq!(out.len(), reference.len());
-            for (a, b) in out.iter().zip(&reference) {
-                assert!(a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
+            let mut tiny = FftPlanner::new();
+            tiny.set_table_budget(Some(1));
+            let mut out = Vec::new();
+            for _ in 0..3 {
+                // Alternate lengths so each request misses and rebuilds.
+                let mut churn = vec![Complex64::ONE; 77];
+                tiny.fft_in_place(&mut churn);
+                tiny.fft_real_into(&input, &mut out);
+                assert_eq!(out.len(), reference.len());
+                for (a, b) in out.iter().zip(&reference) {
+                    assert!(a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
+                }
+            }
+            assert!(tiny.cache_stats().rebuilt_bytes > 0, "n={n}");
+            // A one-byte budget keeps only the in-flight plan chain: the
+            // newest entry, charged everything it pins — e.g. the length-302
+            // real plan's quantized twiddles plus the inner Bluestein(151)
+            // chirp/kernel and pow2(512) tables, ~22 kB deep.
+            let chain = {
+                let t = unbounded.tables.lock().unwrap();
+                if n.is_multiple_of(2) { t.real[&n].bytes } else { t.mixed[&n].bytes }
+            };
+            assert_eq!(tiny.table_bytes(), chain, "n={n}");
+            if n <= 302 {
+                assert!(chain <= 32 * 1024, "n={n}: {chain}");
             }
         }
-        // A one-byte budget keeps at most the in-flight plan chain: the
-        // length-300 real plan pins its quantized twiddles plus the inner
-        // Bluestein(150) chirp/kernel and pow2(512) tables — ~22 kB deep.
-        assert!(tiny.table_bytes() <= 32 * 1024, "{}", tiny.table_bytes());
     }
 
     #[test]
@@ -1347,25 +1726,32 @@ mod tests {
     fn cache_stats_bill_evictions_and_rebuilds() {
         let mut p = FftPlanner::new();
         let mut buf = vec![Complex64::ONE; 128];
+        let mut smooth = vec![Complex64::ONE; 1440];
         p.fft_in_place(&mut buf);
+        p.fft_in_place(&mut smooth);
         let warm = p.cache_stats();
-        assert!(warm.builds >= 1);
+        assert_eq!(warm.builds, 2);
         assert!(warm.built_bytes > 0);
         assert_eq!(warm.evictions, 0);
         assert_eq!(warm.rebuilt_bytes, 0);
         assert_eq!(warm.resident_bytes as usize, p.table_bytes());
 
         // Starve the cache so alternating lengths evict each other, then
-        // re-request an evicted one: its bytes must be billed as rebuilt.
+        // re-request the evicted ones: their bytes must be billed as rebuilt.
         p.set_table_budget(Some(1));
         let mut other = vec![Complex64::ONE; 77];
         p.fft_in_place(&mut other);
-        p.fft_in_place(&mut buf); // rebuilds the evicted length-128 plan
+        p.fft_in_place(&mut buf); // rebuilds the evicted pow2(128) plan
+        p.fft_in_place(&mut smooth); // rebuilds the evicted mixed(1440) plan
         let churned = p.cache_stats();
         assert!(churned.evictions > 0);
         assert!(churned.evicted_bytes > 0);
-        assert!(churned.rebuilt_bytes > 0);
+        let rebuilt = Pow2Plan::new(128).table_bytes() + MixedRadixPlan::new(1440).table_bytes();
+        assert_eq!(churned.rebuilt_bytes, rebuilt as u64);
         assert!(churned.built_bytes >= warm.built_bytes + churned.rebuilt_bytes);
+
+        // The handle's request counts see lengths, not cache churn.
+        let s = p.handle_stats();
+        assert_eq!((s.lookups.get(), s.hits.get(), s.misses.get()), (5, 2, 3));
     }
 }
-

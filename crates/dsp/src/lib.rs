@@ -6,7 +6,8 @@
 //!
 //! * complex arithmetic ([`Complex64`]),
 //! * fast Fourier transforms ([`fft::FftPlanner`]: iterative radix-2
-//!   Cooley–Tukey plus Bluestein's chirp-z algorithm for arbitrary lengths),
+//!   Cooley–Tukey, a Stockham mixed-radix kernel for lengths with no prime
+//!   factor above 5, and Bluestein's chirp-z algorithm for the rest),
 //! * window functions ([`window::Window`]),
 //! * power-spectral-density estimation ([`psd`]: periodogram and Welch),
 //! * filtering ([`filter`]: FFT brick-wall low-pass, moving average, IIR,

@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sweetspot_dsp::fft::FftPlanner;
+use sweetspot_dsp::fft::{FftPlanner, FftScratch};
 use sweetspot_dsp::psd::{periodogram_into, welch_into, PsdConfig, PsdScratch, WelchConfig};
 use sweetspot_dsp::stft::{stft, StftConfig};
 use sweetspot_dsp::window::Window;
@@ -74,9 +74,11 @@ fn spectral_pipeline_steady_state_is_allocation_free() {
     let mut scratch = PsdScratch::new();
     let mut power = Vec::new();
 
-    // Periodogram: pow-of-two and Bluestein (day-trace) lengths. First call
-    // warms plans and buffers; the second must be allocation-free.
-    for n in [4096usize, 2880] {
+    // Periodogram: a power-of-two length, the 30 s and 60 s day-trace
+    // lengths (packed real path over mixed-radix halves) and a length with a
+    // prime half (Bluestein). First call warms plans and buffers; the second
+    // must be allocation-free.
+    for n in [4096usize, 2880, 1440, 2 * 1439] {
         let sig = signal(n);
         periodogram_into(&mut planner, &mut scratch, &sig, cfg, &mut power);
         let count = allocations_during(|| {
@@ -84,6 +86,19 @@ fn spectral_pipeline_steady_state_is_allocation_free() {
         });
         assert_eq!(count, 0, "steady-state periodogram (n={n}) must not allocate");
     }
+
+    // The packed inverse over a mixed-radix half, through caller-owned
+    // scratch: the same warm-then-zero contract.
+    let sig = signal(2880);
+    let mut fft_scratch = FftScratch::new();
+    let mut spectrum = Vec::new();
+    let mut back = Vec::new();
+    planner.fft_real_into_with(&sig, &mut spectrum, &mut fft_scratch);
+    planner.ifft_real_into_with(&spectrum, sig.len(), &mut back, &mut fft_scratch);
+    let count = allocations_during(|| {
+        planner.ifft_real_into_with(&spectrum, sig.len(), &mut back, &mut fft_scratch);
+    });
+    assert_eq!(count, 0, "steady-state ifft_real_into_with (n=2880) must not allocate");
 
     // Welch: the per-segment inner loop must be allocation-free — not just
     // amortized. With everything warm, an entire multi-segment run touches

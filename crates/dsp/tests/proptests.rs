@@ -5,7 +5,7 @@
 //! stay within physical bounds.
 
 use proptest::prelude::*;
-use sweetspot_dsp::fft::{dft_naive, one_sided_len, FftPlanner};
+use sweetspot_dsp::fft::{dft_naive, one_sided_len, FftKernel, FftPlanner};
 use sweetspot_dsp::interp::Interp;
 use sweetspot_dsp::quantize::Quantizer;
 use sweetspot_dsp::resample::resample_fft;
@@ -19,6 +19,17 @@ fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
 fn complex_signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<Complex64>> {
     prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..max_len)
         .prop_map(|v| v.into_iter().map(|(re, im)| Complex64::new(re, im)).collect())
+}
+
+/// Truncates `v` to the largest length `≤ v.len()` with no prime factor
+/// above 5 — the lengths the radix-2 and mixed-radix kernels serve.
+fn truncate_to_5_smooth<T>(mut v: Vec<T>) -> Vec<T> {
+    let n = (1..=v.len())
+        .rev()
+        .find(|&n| FftKernel::for_len(n) != FftKernel::Bluestein)
+        .unwrap_or(0);
+    v.truncate(n);
+    v
 }
 
 proptest! {
@@ -61,9 +72,54 @@ proptest! {
     }
 
     #[test]
+    fn smooth_length_fft_matches_naive_dft_and_roundtrips(
+        sig in complex_signal_strategy(400).prop_map(truncate_to_5_smooth),
+    ) {
+        let mut planner = FftPlanner::new();
+        let expected = dft_naive(&sig);
+        let mut buf = sig.clone();
+        planner.fft_in_place(&mut buf);
+        let tol = 1e-12 * expected.iter().map(|c| c.norm()).fold(1.0, f64::max);
+        for (k, (a, b)) in buf.iter().zip(&expected).enumerate() {
+            prop_assert!((*a - *b).norm() < tol, "n={} bin {}: {:?} vs {:?}", sig.len(), k, a, b);
+        }
+        planner.ifft_in_place(&mut buf);
+        let tol = 1e-12 * sig.iter().map(|c| c.norm()).fold(1.0, f64::max);
+        for (a, b) in sig.iter().zip(&buf) {
+            prop_assert!((*a - *b).norm() < tol, "n={}: {:?} vs {:?}", sig.len(), a, b);
+        }
+    }
+
+    #[test]
+    fn smooth_length_rfft_matches_naive_dft_and_roundtrips(
+        sig in signal_strategy(600).prop_map(truncate_to_5_smooth),
+    ) {
+        // Even lengths run the packed path over a 5-smooth half, odd ones
+        // the complex fallback on the mixed-radix kernel.
+        let mut planner = FftPlanner::new();
+        let n = sig.len();
+        let promoted: Vec<Complex64> = sig.iter().map(|&x| Complex64::from_real(x)).collect();
+        let expected = dft_naive(&promoted);
+        let mut spec = Vec::new();
+        planner.fft_real_into(&sig, &mut spec);
+        prop_assert_eq!(spec.len(), one_sided_len(n));
+        let tol = 1e-12 * expected.iter().map(|c| c.norm()).fold(1.0, f64::max);
+        for (k, (a, b)) in spec.iter().zip(&expected).enumerate() {
+            prop_assert!((*a - *b).norm() < tol, "n={} bin {}: {:?} vs {:?}", n, k, a, b);
+        }
+        let mut back = Vec::new();
+        planner.ifft_real_into(&spec, n, &mut back);
+        let scale = sig.iter().map(|x| x.abs()).fold(1.0, f64::max);
+        for (a, b) in sig.iter().zip(&back) {
+            prop_assert!((a - b).abs() < 1e-12 * scale, "n={}: {} vs {}", n, a, b);
+        }
+    }
+
+    #[test]
     fn rfft_matches_complex_fft(sig in signal_strategy(300)) {
-        // Lengths 1..300 cover the packed fast path over both inner plans
-        // (power-of-two and Bluestein halves) plus the odd-length fallback.
+        // Lengths 1..300 cover the packed fast path over all three inner
+        // kernels (radix-2, mixed-radix and Bluestein halves) plus the
+        // odd-length fallback.
         let mut planner = FftPlanner::new();
         let n = sig.len();
         let mut one_sided = Vec::new();

@@ -303,6 +303,47 @@ fn study_json_emits_machine_readable_output() {
     assert!(!plain_stdout.contains("\"pairs\""));
 }
 
+/// Runs `sweetspot ARGS` and requires its stdout to equal `tests/golden/NAME`
+/// byte for byte. The golden files pin the numeric output of small runs, so
+/// a change to a numeric kernel (an FFT, a cleaner, a scheduler) that moves
+/// any printed digit fails here. Regenerate a golden file only together with
+/// a note naming the fields that moved and why.
+fn assert_stdout_matches_golden(args: &[&str], name: &str) {
+    let out = bin().args(args).output().unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let golden = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert!(
+        out.stdout == golden,
+        "stdout of `sweetspot {}` differs from {}:\n{}",
+        args.join(" "),
+        path.display(),
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
+fn study_json_matches_golden_output() {
+    assert_stdout_matches_golden(
+        &["study", "--devices", "2", "--seed", "9", "--json"],
+        "study_devices2_seed9.json",
+    );
+}
+
+#[test]
+fn fleetsim_json_matches_golden_output() {
+    assert_stdout_matches_golden(
+        &["fleetsim", "--devices", "28", "--days", "3", "--seed", "5", "--json"],
+        "fleetsim_devices28_days3_seed5.json",
+    );
+}
+
 #[test]
 fn fleetsim_prints_frontier_for_all_policies() {
     let out = bin()
