@@ -1,5 +1,5 @@
 //! Paper-scale phase split: what the 1613-pair §3.2 study spends on trace
-//! *synthesis* versus Nyquist *estimation*.
+//! *synthesis*, *cleaning* and Nyquist *estimation*.
 //!
 //! PR 2 made estimation ~5× faster, leaving synthesis dominant; these rows
 //! track whether the streaming generator holds its ≥2× win over the direct
@@ -47,6 +47,37 @@ fn bench(c: &mut Criterion) {
                 last = trace.impairments().apply(&mut rng, &truth).values().last().copied();
             }
             black_box(last)
+        })
+    });
+
+    // Cleaning phase: the study's pre-clean (nominal grid, MAD outlier
+    // discard on) over pre-synthesized raw traces, output buffers recycled.
+    c.bench_function("paper_scale/clean_1613", |b| {
+        let mut synth = TraceSynth::new();
+        let raw: Vec<_> = fleet
+            .traces()
+            .iter()
+            .map(|trace| {
+                let mut times = Vec::new();
+                let mut values = Vec::new();
+                trace.production_trace_into(&mut synth, day, &mut times, &mut values);
+                let cfg = CleanConfig {
+                    interval: Some(trace.profile().production_rate().period()),
+                    outlier_mads: Some(8.0),
+                };
+                (IrregularSeries::from_recycled(times, values), cfg)
+            })
+            .collect();
+        let mut scratch = CleanScratch::new();
+        b.iter(|| {
+            let mut samples = 0usize;
+            for (series, cfg) in &raw {
+                if let Ok(cleaned) = clean_into(series, *cfg, &mut scratch) {
+                    samples += cleaned.len();
+                    scratch.reclaim(cleaned);
+                }
+            }
+            black_box(samples)
         })
     });
 

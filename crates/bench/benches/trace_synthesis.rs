@@ -10,7 +10,7 @@ use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile, TraceSynth};
+use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile, ToneBank, TraceSynth};
 use sweetspot_timeseries::Seconds;
 
 fn bench(c: &mut Criterion) {
@@ -61,6 +61,20 @@ fn bench(c: &mut Criterion) {
         let mut out = Vec::new();
         b.iter(|| {
             trace.ground_truth_into(&mut synth, fast_rate, day, &mut out);
+            black_box(out.last().copied())
+        })
+    });
+
+    // A fleet-poll-sized window: 20 samples starting days into the run, the
+    // short grid every fleet epoch's poll synthesizes: two full tiles of the
+    // oscillator bank and a 4-sample tail, so the per-call re-seed weighs in.
+    let poll_start = Seconds::from_days(3.0) + Seconds(13.0);
+    let poll_len = rate.period() * 20.0;
+    c.bench_function("synth/ground_truth_tonebank_20_offset", |b| {
+        let mut bank = ToneBank::new();
+        let mut out = Vec::new();
+        b.iter(|| {
+            trace.model().sample_into(&mut bank, poll_start, rate, poll_len, &mut out);
             black_box(out.last().copied())
         })
     });

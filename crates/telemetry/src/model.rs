@@ -56,10 +56,12 @@ pub struct ToneBank {
     /// Per-tone step rotation `(cos Δθ, sin Δθ)`.
     rot_cos: Vec<f64>,
     rot_sin: Vec<f64>,
-    /// Per-tone phasor state, advanced sample by sample. Keeping the state
-    /// in arrays and iterating sample-major gives every tone an independent
-    /// dependency chain, so the recurrence pipelines/vectorizes instead of
-    /// serializing on one phasor's multiply latency.
+    /// Per-tone phasor state, advanced sample by sample. A sample-major walk
+    /// over these arrays does *not* vectorize: each sample's tone sum is one
+    /// serial add chain, and reassociating it would change the output bits.
+    /// [`ToneBank::accumulate`] therefore tiles samples × tone groups (see
+    /// there), which vectorizes the rotation and overlaps the add chains
+    /// without reordering a single addition.
     cur_cos: Vec<f64>,
     cur_sin: Vec<f64>,
 }
@@ -112,10 +114,23 @@ impl ToneBank {
     }
 
     /// Adds every loaded tone's contribution at grid point `k` to `out[k]`.
+    ///
+    /// The grid is walked in tiles of `TILE` = 8 samples. Within a tile,
+    /// tones are taken in groups of `LANES` = 4 whose phasors sit in
+    /// fixed-size arrays, so each rotation step vectorizes across the group;
+    /// the leftover `tones % LANES` tones run one at a time. Every
+    /// sample keeps its own accumulator and receives its tones in tone order,
+    /// so each output is the same serial sum `((0 + a₀s₀) + a₁s₁) + …` as a
+    /// sample-major walk — bit for bit — while the tile's accumulators give
+    /// the CPU independent add chains to overlap.
     pub fn accumulate(&mut self, out: &mut [f64]) {
+        const TILE: usize = 8;
+        const LANES: usize = 4;
+        fn group(v: &[f64], g: usize) -> [f64; LANES] {
+            v[g..g + LANES].try_into().expect("a whole group")
+        }
         let tones = self.amp.len();
-        // Equal-length slice bindings so the inner loop's bounds checks
-        // hoist and the recurrence auto-vectorizes across tones.
+        let grouped = tones - tones % LANES;
         let amp = &self.amp[..tones];
         let rot_cos = &self.rot_cos[..tones];
         let rot_sin = &self.rot_sin[..tones];
@@ -130,13 +145,62 @@ impl ToneBank {
                 cur_sin[i] = s;
                 cur_cos[i] = c;
             }
+            for tile in out[k..chunk_end].chunks_mut(TILE) {
+                let mut acc = [0.0; TILE];
+                let acc = &mut acc[..tile.len()];
+                for g in (0..grouped).step_by(LANES) {
+                    let (a, rc, rs) = (group(amp, g), group(rot_cos, g), group(rot_sin, g));
+                    let (mut s, mut c) = (group(cur_sin, g), group(cur_cos, g));
+                    for sum in acc.iter_mut() {
+                        for l in 0..LANES {
+                            *sum += a[l] * s[l];
+                        }
+                        for l in 0..LANES {
+                            let (sl, cl) = (s[l], c[l]);
+                            s[l] = sl * rc[l] + cl * rs[l];
+                            c[l] = cl * rc[l] - sl * rs[l];
+                        }
+                    }
+                    cur_sin[g..g + LANES].copy_from_slice(&s);
+                    cur_cos[g..g + LANES].copy_from_slice(&c);
+                }
+                for i in grouped..tones {
+                    let (mut s, mut c) = (cur_sin[i], cur_cos[i]);
+                    for sum in acc.iter_mut() {
+                        *sum += amp[i] * s;
+                        (s, c) = (s * rot_cos[i] + c * rot_sin[i], c * rot_cos[i] - s * rot_sin[i]);
+                    }
+                    cur_sin[i] = s;
+                    cur_cos[i] = c;
+                }
+                for (v, sum) in tile.iter_mut().zip(acc.iter()) {
+                    *v += sum;
+                }
+            }
+            k = chunk_end;
+        }
+    }
+
+    /// The sample-major walk [`ToneBank::accumulate`] replaced, kept as the
+    /// bit-exactness reference for its tests.
+    #[cfg(test)]
+    fn accumulate_sample_major(&mut self, out: &mut [f64]) {
+        let tones = self.amp.len();
+        let mut k = 0;
+        while k < out.len() {
+            let chunk_end = (k + Self::RENORM_INTERVAL).min(out.len());
+            for i in 0..tones {
+                let (s, c) = (self.theta0[i] + k as f64 * self.dtheta[i]).sin_cos();
+                self.cur_sin[i] = s;
+                self.cur_cos[i] = c;
+            }
             for v in &mut out[k..chunk_end] {
                 let mut acc = 0.0;
                 for i in 0..tones {
-                    let (s, c) = (cur_sin[i], cur_cos[i]);
-                    acc += amp[i] * s;
-                    cur_sin[i] = s * rot_cos[i] + c * rot_sin[i];
-                    cur_cos[i] = c * rot_cos[i] - s * rot_sin[i];
+                    let (s, c) = (self.cur_sin[i], self.cur_cos[i]);
+                    acc += self.amp[i] * s;
+                    self.cur_sin[i] = s * self.rot_cos[i] + c * self.rot_sin[i];
+                    self.cur_cos[i] = c * self.rot_cos[i] - s * self.rot_sin[i];
                 }
                 *v += acc;
             }
@@ -599,6 +663,44 @@ mod tests {
         for (k, v) in out.iter().enumerate() {
             let exact = tone.value_at(k as f64 * dt.value());
             assert!((v - exact).abs() < 1e-10, "k={k}: {v} vs {exact}");
+        }
+    }
+
+    /// The tiled walk must reproduce the sample-major reference bit for bit
+    /// for every tone-group tail (`tones % LANES`) and across the tile and
+    /// re-seed boundaries, on grids that do not start at zero.
+    #[test]
+    fn tiled_accumulate_matches_sample_major_bitwise() {
+        let mut r = rng();
+        let lens = [0, 1, 7, 8, 9, 255, 256, 257, 263, 2880, 4320];
+        for tones in 0..=30 {
+            let set: Vec<Tone> = (0..tones)
+                .map(|_| Tone {
+                    freq: r.gen_range(1e-6..2e-2),
+                    amp: r.gen_range(0.0..3.0),
+                    phase: r.gen_range(0.0..2.0 * PI),
+                })
+                .collect();
+            for (j, &len) in lens.iter().enumerate() {
+                let start = Seconds(86_400.0 * j as f64 + 13.0);
+                let interval = Seconds([20.0, 30.0, 300.0][j % 3]);
+                let base: Vec<f64> = (0..len).map(|k| 4.5 - 0.25 * k as f64).collect();
+                let mut tiled = ToneBank::new();
+                tiled.load(&set, start, interval);
+                let mut got = base.clone();
+                tiled.accumulate(&mut got);
+                let mut reference = ToneBank::new();
+                reference.load(&set, start, interval);
+                let mut want = base;
+                reference.accumulate_sample_major(&mut want);
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "tones {tones}, len {len}, slot {k}: {g} vs {w}"
+                    );
+                }
+            }
         }
     }
 

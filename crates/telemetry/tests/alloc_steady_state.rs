@@ -3,7 +3,8 @@
 //! Extends the `crates/dsp/tests/alloc_steady_state.rs` pattern to
 //! telemetry: once the `TraceSynth` scratch and the output buffers are warm,
 //! synthesizing another day-long trace — oscillator-bank ground truth plus
-//! the full impairment chain — must not touch the heap at all.
+//! the full impairment chain — must not touch the heap at all, and neither
+//! must the study's MAD pre-clean of it.
 //!
 //! The counter is **per-thread**: libtest's harness threads (timeout
 //! watchdog, capture machinery) allocate at unpredictable times, so a
@@ -14,6 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile, TraceSynth};
+use sweetspot_timeseries::clean::{clean_into, CleanConfig, CleanScratch};
 use sweetspot_timeseries::{IrregularSeries, Seconds};
 
 std::thread_local! {
@@ -98,4 +100,27 @@ fn trace_synthesis_steady_state_is_allocation_free() {
         (times, values) = raw.into_parts();
     });
     assert_eq!(count, 0, "series recycling must move buffers, not copy them");
+
+    // The study's pre-clean — MAD outlier discard on, on the nominal grid
+    // and on the inferred median-gap grid. Warmed on the day-trace, the
+    // scratch's selection and output buffers serve that trace and the next
+    // device's with zero allocations.
+    let mut scratch = CleanScratch::new();
+    for interval in [Some(rate.period()), None] {
+        let cfg = CleanConfig { interval, outlier_mads: Some(8.0) };
+        for (i, (name, device)) in [("day-trace", &trace), ("second device", &other)].into_iter().enumerate() {
+            device.production_trace_into(&mut synth, day, &mut times, &mut values);
+            let raw = IrregularSeries::from_recycled(std::mem::take(&mut times), std::mem::take(&mut values));
+            if i == 0 {
+                let cleaned = clean_into(&raw, cfg, &mut scratch).expect("cleanable");
+                scratch.reclaim(cleaned);
+            }
+            let count = allocations_during(|| {
+                let cleaned = clean_into(&raw, cfg, &mut scratch).expect("cleanable");
+                scratch.reclaim(cleaned);
+            });
+            assert_eq!(count, 0, "MAD cleaning of the {name} on grid {interval:?} must not allocate");
+            (times, values) = raw.into_parts();
+        }
+    }
 }

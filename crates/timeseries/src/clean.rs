@@ -205,7 +205,7 @@ pub fn clean(series: &IrregularSeries, cfg: CleanConfig) -> Result<RegularSeries
 }
 
 /// Reusable working storage for [`clean_into`]: the filtered trace, the
-/// median/MAD sort buffer and the re-gridded output all live here, so a
+/// median/MAD selection buffer and the re-gridded output all live here, so a
 /// steady-state cleaning loop performs no heap allocations once the buffers
 /// have grown to the trace length.
 #[derive(Debug, Default)]
@@ -214,7 +214,7 @@ pub struct CleanScratch {
     times: Vec<Seconds>,
     /// Values surviving the drop/outlier filters (parallel to `times`).
     values: Vec<f64>,
-    /// Sort buffer for medians (values, deviations, gaps).
+    /// Selection buffer for medians (values, deviations, gaps).
     work: Vec<f64>,
     /// Recycled output storage for the re-gridded series.
     grid: Vec<f64>,
@@ -364,10 +364,8 @@ pub fn clean_slices_into(
             scratch
                 .work
                 .extend(scratch.times.windows(2).map(|w| (w[1] - w[0]).value()));
-            scratch
-                .work
-                .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            Seconds(scratch.work[scratch.work.len() / 2])
+            let mid = scratch.work.len() / 2;
+            Seconds(kth_smallest(&mut scratch.work, mid).1)
         }
     };
     if !(interval.value() > 0.0 && interval.value().is_finite()) {
@@ -405,19 +403,41 @@ pub fn clean_slices_into(
     Ok(RegularSeries::new(start, interval, grid))
 }
 
+/// The `k`-th smallest of `values` (0-based), found by selection instead of
+/// a full sort: the same value a `partial_cmp` sort would leave at index
+/// `k`, in `O(n)` expected time. Also returns the partition below index `k`
+/// (every element there orders at or before the selected one). Reorders
+/// `values`.
+///
+/// # Panics
+/// Panics if `k >= values.len()`.
+pub(crate) fn kth_smallest(values: &mut [f64], k: usize) -> (&mut [f64], f64) {
+    let (below, kth, _) = values
+        .select_nth_unstable_by(k, |a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let kth = *kth;
+    (below, kth)
+}
+
 fn median_of(values: &[f64]) -> f64 {
     let mut v = values.to_vec();
     median_of_mut(&mut v)
 }
 
+/// Median of finite `values` (the mean of the two middle order statistics
+/// for even lengths), by selection. Equal to the sort-based median bit for
+/// bit, except that a zero median may carry either sign when both `+0.0`
+/// and `-0.0` are present: `|v - m|` and `m ± k·mad` cannot tell the two
+/// apart, so the outlier rule's output is unaffected. Reorders `values`.
 fn median_of_mut(values: &mut [f64]) -> f64 {
     assert!(!values.is_empty());
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let n = values.len();
+    let (below, upper) = kth_smallest(values, n / 2);
     if n % 2 == 1 {
-        values[n / 2]
+        upper
     } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
+        // The largest of the lower half is the sorted `values[n/2 - 1]`.
+        let lower = below.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        (lower + upper) / 2.0
     }
 }
 
@@ -723,5 +743,90 @@ mod tests {
     fn median_helpers() {
         assert_eq!(median_of(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median_of(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+    }
+
+    /// The sort-based median the selection replaced.
+    fn sorted_median(values: &[f64]) -> f64 {
+        let mut v = values.to_vec();
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let n = v.len();
+        if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            (v[n / 2 - 1] + v[n / 2]) / 2.0
+        }
+    }
+
+    /// Deterministic test values: a scrambled walk through `levels`
+    /// distinct magnitudes (few levels ⇒ heavy ties), both signs. Zero is
+    /// always `+0.0`; signed zeros have their own test below.
+    fn scrambled(n: usize, levels: u64, seed: u64) -> Vec<f64> {
+        (0..n as u64)
+            .map(|i| {
+                let h = (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                let level = (h % levels) as f64;
+                if h & 1 == 0 { level * 0.37 } else { -level * 1.3 + 0.0 }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn selection_median_matches_sorted_median_bitwise() {
+        let mut cases: Vec<Vec<f64>> = vec![
+            vec![5.0],
+            vec![-2.5],
+            vec![1.0, 2.0],
+            vec![2.0, 1.0],
+            vec![7.0, 7.0],
+            vec![1e300, -1e300, 3.0],
+            vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+        ];
+        for n in 1..=40 {
+            for (levels, seed) in [(2, 1), (3, 7), (1000, 11), (u64::MAX, 3)] {
+                cases.push(scrambled(n, levels, seed));
+            }
+        }
+        cases.push(scrambled(2881, 5, 17));
+        cases.push(scrambled(2880, 1 << 20, 19));
+        for v in &cases {
+            let want = sorted_median(v);
+            assert_eq!(median_of(v).to_bits(), want.to_bits(), "{v:?}");
+            // The gap statistic: any order statistic, not just the middle.
+            let mut sorted = v.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for k in [0, v.len() / 2, v.len() - 1] {
+                let mut work = v.clone();
+                assert_eq!(kth_smallest(&mut work, k).1.to_bits(), sorted[k].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_signed_zero_median_cannot_change_the_outlier_rule() {
+        // With +0.0 and -0.0 both present, which zero a median lands on
+        // depends on element order — for the sort as for the selection. The
+        // value is the same, and so is everything the MAD rule derives from
+        // it: deviations |v − m| and the bounds m ± k·mad.
+        let cases = [
+            vec![-0.0, 0.0],
+            vec![0.0, -0.0, 0.0],
+            vec![-0.0, -0.0, 0.0, 0.0, 1.0, -1.0],
+            vec![3.0, -0.0, 0.0, -0.0, -2.0],
+        ];
+        let zeros = [0.0f64, -0.0];
+        for v in &cases {
+            let m = median_of(v);
+            assert_eq!(m, sorted_median(v), "{v:?}");
+            assert_eq!(m, 0.0);
+            for x in v {
+                let [a, b] = zeros.map(|z| (x - z).abs().to_bits());
+                assert_eq!(a, b, "|{x} - m|");
+            }
+        }
+        for reach in [1e-300, 0.5, 8.0 * 1.4826, 1e300] {
+            let [lo_a, lo_b] = zeros.map(|z| (z - reach).to_bits());
+            let [hi_a, hi_b] = zeros.map(|z| (z + reach).to_bits());
+            assert_eq!((lo_a, hi_a), (lo_b, hi_b), "bounds at reach {reach}");
+        }
     }
 }

@@ -245,8 +245,8 @@ impl IrregularSeries {
             .windows(2)
             .map(|w| (w[1] - w[0]).value())
             .collect();
-        gaps.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        Some(Seconds(gaps[gaps.len() / 2]))
+        let mid = gaps.len() / 2;
+        Some(Seconds(crate::clean::kth_smallest(&mut gaps, mid).1))
     }
 
     /// Value of the sample nearest in time to `t`.

@@ -336,6 +336,16 @@ fn study_json_matches_golden_output() {
     );
 }
 
+/// The full 1613-pair study: every synthesized, cleaned and estimated bit
+/// of the paper-scale run reaches this output.
+#[test]
+fn paper_scale_study_json_matches_golden_output() {
+    assert_stdout_matches_golden(
+        &["study", "--paper-scale", "--json", "--seed", "1", "--threads", "2"],
+        "study_paper_scale_seed1.json",
+    );
+}
+
 #[test]
 fn fleetsim_json_matches_golden_output() {
     assert_stdout_matches_golden(
