@@ -142,33 +142,7 @@ pub fn boxplot_table(title: &str, rows: &[(String, FiveNumber)]) -> String {
 /// stable and parseable; non-finite numbers serialize as `null` (JSON has
 /// no `inf`/`nan`).
 pub mod json {
-    /// Escapes a string for a JSON string literal (quotes included).
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    /// Formats a number as a JSON value (`null` when not finite).
-    pub fn number(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_string()
-        }
-    }
+    use sweetspot_obs::json::{number_into, string_into};
 
     /// Builds one JSON object, field by field.
     #[derive(Debug, Default)]
@@ -182,34 +156,39 @@ pub mod json {
             Self::default()
         }
 
+        /// Adds a `"key":` part whose value `write` appends.
+        fn field(&mut self, key: &str, write: impl FnOnce(&mut String)) -> &mut Self {
+            let mut part = String::new();
+            string_into(&mut part, key);
+            part.push(':');
+            write(&mut part);
+            self.parts.push(part);
+            self
+        }
+
         /// Adds a string field.
         pub fn field_str(&mut self, key: &str, value: &str) -> &mut Self {
-            self.parts.push(format!("{}:{}", escape(key), escape(value)));
-            self
+            self.field(key, |out| string_into(out, value))
         }
 
         /// Adds a numeric field (`null` when not finite).
         pub fn field_num(&mut self, key: &str, value: f64) -> &mut Self {
-            self.parts.push(format!("{}:{}", escape(key), number(value)));
-            self
+            self.field(key, |out| number_into(out, value))
         }
 
         /// Adds a boolean field.
         pub fn field_bool(&mut self, key: &str, value: bool) -> &mut Self {
-            self.parts.push(format!("{}:{value}", escape(key)));
-            self
+            self.field(key, |out| out.push_str(if value { "true" } else { "false" }))
         }
 
         /// Adds an explicit `null` field.
         pub fn field_null(&mut self, key: &str) -> &mut Self {
-            self.parts.push(format!("{}:null", escape(key)));
-            self
+            self.field(key, |out| out.push_str("null"))
         }
 
         /// Adds a pre-serialized JSON value (nested object or array).
         pub fn field_raw(&mut self, key: &str, raw: &str) -> &mut Self {
-            self.parts.push(format!("{}:{raw}", escape(key)));
-            self
+            self.field(key, |out| out.push_str(raw))
         }
 
         /// Serializes the object.
@@ -232,13 +211,17 @@ pub mod json {
 
         /// Appends a string element.
         pub fn push_str(&mut self, value: &str) -> &mut Self {
-            self.parts.push(escape(value));
+            let mut part = String::new();
+            string_into(&mut part, value);
+            self.parts.push(part);
             self
         }
 
         /// Appends a numeric element (`null` when not finite).
         pub fn push_num(&mut self, value: f64) -> &mut Self {
-            self.parts.push(number(value));
+            let mut part = String::new();
+            number_into(&mut part, value);
+            self.parts.push(part);
             self
         }
 
@@ -275,21 +258,6 @@ mod tests {
             "{\"name\":\"fleet \\\"a\\\"\\n\",\"count\":3,\"bad\":null,\
              \"ok\":true,\"none\":null,\"items\":[1,2.5,\"x\"]}"
         );
-    }
-
-    #[test]
-    fn json_numbers_round_trip() {
-        assert_eq!(json::number(0.1), "0.1");
-        assert_eq!(json::number(-3.0), "-3");
-        assert_eq!(json::number(f64::NAN), "null");
-        let v: f64 = json::number(1.0 / 3.0).parse().unwrap();
-        assert_eq!(v, 1.0 / 3.0, "shortest-roundtrip formatting");
-    }
-
-    #[test]
-    fn json_escape_handles_control_chars() {
-        assert_eq!(json::escape("a\u{1}b"), "\"a\\u0001b\"");
-        assert_eq!(json::escape("tab\tnl\n"), "\"tab\\tnl\\n\"");
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! ### Budget grants
 //!
 //! A fleet-level scheduler (see `analysis::fleetsim`) may not be able to
-//! afford the rate a controller asks for. [`AdaptiveSampler::step_granted`]
-//! runs one epoch at an externally *granted* rate over an externally fixed
-//! window (fleet epochs are lockstep — every device shares the scheduling
-//! quantum). When the grant is below the request the epoch is **throttled**:
+//! afford the rate a controller asks for.
+//! [`AdaptiveSampler::step_granted_scratch`] runs one epoch at an externally
+//! *granted* rate over an externally fixed window (fleet epochs are
+//! lockstep — every device shares the scheduling quantum). When the grant is
+//! below the request the epoch is **throttled**:
 //!
 //! * the controller records the deferral ([`AdaptiveSampler::deferred_epochs`],
 //!   [`AdaptiveSampler::deferred_samples`]);
@@ -95,10 +96,10 @@ const MIN_DETECT_SAMPLES: usize = 16;
 /// remembered maximum before the controller is classified
 /// [`HealthState::SuspectDeadlocked`]. "Without an alarm" covers both a
 /// verified-clean §4.1 verdict *and* an epoch too slow to verify at all
-/// (fewer than [`MIN_EPOCH_SAMPLES`] samples in the window): a controller
-/// that cannot even check itself is silent, not healthy. Small by design
-/// (the KISS principle: the signal must stay cheap) — a fleet watchdog
-/// rate-limits what it does about the suspicion, not the suspicion itself.
+/// (fewer than 64 samples in the window): a controller that cannot even
+/// check itself is silent, not healthy. Small by design (the KISS
+/// principle: the signal must stay cheap) — a fleet watchdog rate-limits
+/// what it does about the suspicion, not the suspicion itself.
 pub const SUSPECT_QUIET_EPOCHS: usize = 3;
 
 /// Controller mode.
@@ -267,11 +268,11 @@ pub struct EpochReport {
 /// companion streams.
 ///
 /// Every [`AdaptiveSampler`] owns one for the classic
-/// [`step`](AdaptiveSampler::step)/[`step_granted`](AdaptiveSampler::step_granted)
-/// API; the fleet engine instead lends one *per worker* through
-/// [`AdaptiveSampler::step_granted_scratch`], so 10⁵ member controllers
-/// share a handful of warmed-up working sets and keep only durable control
-/// state (rates, hysteresis, deferral counters, remembered max) per member.
+/// [`step`](AdaptiveSampler::step) API; the fleet engine instead lends one
+/// *per worker* through [`AdaptiveSampler::step_granted_scratch`], so 10⁵
+/// member controllers share a handful of warmed-up working sets and keep
+/// only durable control state (rates, hysteresis, deferral counters,
+/// remembered max) per member.
 /// Scratch contents never influence results — every buffer is cleared or
 /// overwritten before use.
 #[derive(Debug, Default)]
@@ -566,33 +567,24 @@ impl AdaptiveSampler {
         let min_duration = MIN_EPOCH_SAMPLES as f64 / secondary.value();
         let duration = Seconds(self.config.epoch.value().max(min_duration));
         let rate = self.rate;
-        self.step_owned(source, start, rate, duration)
+        // The sampler's own scratch is moved out and back (pointer-sized
+        // moves, never an allocation).
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let report = self.step_at(&mut scratch, source, start, rate, duration);
+        self.scratch = scratch;
+        report
     }
 
     /// Runs one epoch at an externally `granted` rate over a fixed lockstep
-    /// `window` (see the module docs on budget grants).
+    /// `window` (see the module docs on budget grants), through
+    /// caller-owned working storage: a fleet of controllers shares one
+    /// warmed-up [`SamplerScratch`] per worker instead of each holding its
+    /// own buffers (see [`SamplerScratch`]).
     ///
     /// `granted` is clamped into `[min_rate, max_rate]`; the window is used
     /// as-is (no auto-extension — fleet epochs must stay aligned). With
     /// `granted == requested_rate()` and a window at least as long as
     /// [`AdaptiveSampler::step`] would pick, this is exactly `step`.
-    pub fn step_granted<S: SignalSource>(
-        &mut self,
-        source: &mut S,
-        start: Seconds,
-        granted: Hertz,
-        window: Seconds,
-    ) -> EpochReport {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let report = self.step_granted_scratch(&mut scratch, source, start, granted, window);
-        self.scratch = scratch;
-        report
-    }
-
-    /// [`AdaptiveSampler::step_granted`] through caller-owned working
-    /// storage — bit-identical results, but a fleet of controllers can share
-    /// one warmed-up [`SamplerScratch`] per worker instead of each holding
-    /// its own buffers (see [`SamplerScratch`]).
     pub fn step_granted_scratch<S: SignalSource>(
         &mut self,
         scratch: &mut SamplerScratch,
@@ -755,21 +747,6 @@ impl AdaptiveSampler {
         self.missed_streak = 0;
         self.quiet_streak = 0;
         self.dormant = false;
-    }
-
-    /// Epoch body through the sampler's own scratch (the borrow dance is
-    /// pointer-sized moves, never an allocation).
-    fn step_owned<S: SignalSource>(
-        &mut self,
-        source: &mut S,
-        start: Seconds,
-        primary: Hertz,
-        duration: Seconds,
-    ) -> EpochReport {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let report = self.step_at(&mut scratch, source, start, primary, duration);
-        self.scratch = scratch;
-        report
     }
 
     /// Shared epoch body: sample at `primary` over `duration`, verify and
@@ -1333,6 +1310,7 @@ mod tests {
         // With grant == request and the lockstep window equal to what step()
         // would pick, the budget-aware path must be bit-identical to the
         // classic controller (the fleetsim uncapped-policy guarantee).
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5;
         let mut src_a = FunctionSource::new(band_signal(edge));
         let mut src_b = FunctionSource::new(band_signal(edge));
@@ -1342,7 +1320,8 @@ mod tests {
         for _ in 0..12 {
             let a = classic.step(&mut src_a, t);
             let window = a.duration;
-            let b = granted.step_granted(&mut src_b, t, granted.requested_rate(), window);
+            let rate = granted.requested_rate();
+            let b = granted.step_granted_scratch(&mut scratch, &mut src_b, t, rate, window);
             assert_eq!(a, b);
             t = t + a.duration;
         }
@@ -1355,6 +1334,7 @@ mod tests {
         // Settle on a signal, force a deep cut for a few epochs, then restore
         // the grant: the remembered maximum must carry the request straight
         // back up instead of re-climbing the probe ladder from the cut rate.
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5; // true Nyquist sampling rate = 1.0 Hz
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
@@ -1373,7 +1353,7 @@ mod tests {
         let cut = Hertz(settled.value() / 8.0);
         let before = ctl.deferred_epochs();
         for _ in 0..3 {
-            let r = ctl.step_granted(&mut source, t, cut, window);
+            let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, cut, window);
             assert!(r.throttled, "grant below request must be recorded");
             assert!(
                 r.next_rate.value() >= settled.value() * (1.0 - 1e-9),
@@ -1388,7 +1368,8 @@ mod tests {
 
         // Budget restored: the very next fully-granted epoch runs at (or
         // above) the remembered requirement — no probe ladder.
-        let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+        let rate = ctl.requested_rate();
+        let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
         assert!(!r.throttled);
         assert!(
             r.primary_rate.value() >= remembered.value(),
@@ -1453,6 +1434,7 @@ mod tests {
 
     #[test]
     fn grant_clamps_to_min_and_max_rate() {
+        let mut scratch = SamplerScratch::new();
         let edge = 0.05;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(AdaptiveConfig {
@@ -1466,7 +1448,8 @@ mod tests {
         // Settle first so there is an estimate to undercut.
         let mut t = Seconds::ZERO;
         for _ in 0..4 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let rate = ctl.requested_rate();
+            let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
             t = t + r.duration;
         }
         let estimate = ctl.remembered_max().expect("settled");
@@ -1475,13 +1458,13 @@ mod tests {
         // min_rate — must clamp up to min_rate, not run at the raw grant.
         let starve = Hertz((estimate.value() * MIN_VERIFY_HEADROOM) / 1e6);
         assert!(starve.value() < 0.02);
-        let r = ctl.step_granted(&mut source, t, starve, window);
+        let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, starve, window);
         assert_eq!(r.primary_rate, Hertz(0.02), "grant must clamp to min_rate");
         assert!(r.throttled);
         t = t + window;
 
         // An absurdly high grant clamps to max_rate and is not throttling.
-        let r = ctl.step_granted(&mut source, t, Hertz(1e9), window);
+        let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, Hertz(1e9), window);
         assert_eq!(r.primary_rate, Hertz(8.0), "grant must clamp to max_rate");
         assert!(!r.throttled, "a grant above the request is not a cut");
     }
@@ -1491,13 +1474,15 @@ mod tests {
         // A device that misses k consecutive epochs must report exactly k in
         // deferred_epochs — the counter cannot only advance on granted
         // epochs (the report never arriving IS the deferral).
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let rate = ctl.requested_rate();
+            let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
             t = t + r.duration;
         }
         assert_eq!(ctl.mode(), Mode::Steady);
@@ -1522,7 +1507,8 @@ mod tests {
         let mut src2 = FunctionSource::new(band_signal(edge));
         let mut t2 = Seconds::ZERO;
         for _ in 0..10 {
-            let r = probe.step_granted(&mut src2, t2, probe.requested_rate(), window);
+            let rate = probe.requested_rate();
+            let r = probe.step_granted_scratch(&mut scratch, &mut src2, t2, rate, window);
             t2 = t2 + r.duration;
         }
         let before = probe.requested_rate();
@@ -1549,13 +1535,15 @@ mod tests {
 
     #[test]
     fn reboot_reramps_bounded_by_remembered_max() {
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5; // true Nyquist sampling rate = 1.0 Hz
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let rate = ctl.requested_rate();
+            let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
             t = t + r.duration;
         }
         assert_eq!(ctl.mode(), Mode::Steady);
@@ -1571,7 +1559,8 @@ mod tests {
         // never past it (bounded, no ladder past the known requirement).
         let mut reached = false;
         for _ in 0..4 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let rate = ctl.requested_rate();
+            let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
             assert!(
                 r.next_rate.value() <= bound,
                 "re-ramp overshot the remembered bound: {} > {}",
@@ -1595,18 +1584,19 @@ mod tests {
 
     #[test]
     fn delayed_epoch_samples_but_freezes_adaptation() {
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let rate = ctl.requested_rate();
+            let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
             t = t + r.duration;
         }
         let settled = ctl.requested_rate();
         let deferred = ctl.deferred_epochs();
-        let mut scratch = SamplerScratch::new();
         let r = ctl.step_delayed_scratch(&mut scratch, &mut source, t, settled, window);
         // The data is real (billed, covering the signal) ...
         assert!(r.samples_taken > 0, "a delayed report still acquires samples");
@@ -1619,13 +1609,15 @@ mod tests {
 
     #[test]
     fn health_classifier_tracks_the_controller_lifecycle() {
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         // Probing epochs classify as Recovering (after the first step).
-        let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+        let rate = ctl.requested_rate();
+        let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
         t = t + r.duration;
         if ctl.mode() == Mode::Probe {
             assert_eq!(ctl.health(), HealthState::Recovering);
@@ -1633,7 +1625,8 @@ mod tests {
         // Settle and run a clean streak: with the request at or above the
         // remembered max (headroom > 1), the controller is Healthy.
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let rate = ctl.requested_rate();
+            let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
             t = t + r.duration;
         }
         assert_eq!(ctl.mode(), Mode::Steady);
@@ -1648,7 +1641,8 @@ mod tests {
         ctl.note_dormant_epoch();
         assert_eq!(ctl.health(), HealthState::Dormant);
         assert_eq!(ctl.dormant_epochs(), 1);
-        let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+        let rate = ctl.requested_rate();
+        let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
         t = t + r.duration;
         assert_ne!(ctl.health(), HealthState::Dormant);
         let _ = t;
@@ -1662,6 +1656,7 @@ mod tests {
         // the SuspectDeadlocked signature (over-inclusive by design). A
         // forced re-probe runs one epoch above the old requirement and
         // re-settles, retiring the suspicion.
+        let mut scratch = SamplerScratch::new();
         let mut source = FunctionSource::new(|t: f64| {
             let base = (2.0 * PI * 0.01 * t).sin();
             if t < 60_000.0 {
@@ -1678,7 +1673,8 @@ mod tests {
         // qualifies as suspect.
         let mut suspect_seen = false;
         for _ in 0..40 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let rate = ctl.requested_rate();
+            let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
             t = t + r.duration;
             if ctl.health() == HealthState::SuspectDeadlocked {
                 suspect_seen = true;
@@ -1701,7 +1697,8 @@ mod tests {
         assert_eq!(ctl.health(), HealthState::Recovering);
         // … and one clean epoch at the elevated rate re-settles near the
         // true (now lower) requirement: suspicion retired, no deadlock.
-        let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+        let rate = ctl.requested_rate();
+        let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
         assert_eq!(r.primary_rate, reprobe);
         assert!(!r.aliased, "the calmed signal verifies clean above the old max");
         assert_eq!(ctl.mode(), Mode::Steady);
@@ -1715,19 +1712,22 @@ mod tests {
 
     #[test]
     fn dormant_epochs_age_state_without_decaying_the_request() {
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let rate = ctl.requested_rate();
+            let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
             t = t + r.duration;
         }
         let settled = ctl.requested_rate();
         let deferred = ctl.deferred_epochs();
         let index_before = {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let rate = ctl.requested_rate();
+            let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
             t = t + r.duration;
             r.index
         };
@@ -1744,7 +1744,8 @@ mod tests {
         // The first epoch after waking is forced to verify (a regime change
         // during the nap must not pass unchecked) and advances the index by
         // exactly the napped epochs plus one.
-        let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+        let rate = ctl.requested_rate();
+        let r = ctl.step_granted_scratch(&mut scratch, &mut source, t, rate, window);
         assert!(r.verified, "the wake-up epoch must run the §4.1 detector");
         assert_eq!(r.index, index_before + 7);
     }
@@ -1753,10 +1754,12 @@ mod tests {
     fn unverifiable_epoch_skips_companion_stream() {
         // A window too short for 16 detector samples must not panic, must
         // not bill for a companion stream, and must stay conservative.
+        let mut scratch = SamplerScratch::new();
         let mut source = FunctionSource::new(band_signal(0.5));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         // 0.02 Hz over 600 s = 12 primary samples < 16.
-        let r = ctl.step_granted(&mut source, Seconds::ZERO, Hertz(0.02), Seconds(600.0));
+        let (grant, window) = (Hertz(0.02), Seconds(600.0));
+        let r = ctl.step_granted_scratch(&mut scratch, &mut source, Seconds::ZERO, grant, window);
         assert_eq!(r.samples_taken, 12, "companion must not be acquired");
         assert!(r.throttled);
         assert!(

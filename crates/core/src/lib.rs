@@ -19,11 +19,6 @@
 //! * [`recommend`] — the operational endpoint: trace in, decision out
 //!   (keep / reduce / increase / inspect) with the savings attached.
 //! * [`reduction`] — "possible reduction ratio" bookkeeping (Figures 1 and 4).
-//! * [`multivariate`] — §6's multivariate extension: joint estimates and
-//!   correlation-preservation checks.
-//! * [`ergodicity`] — §6's ergodicity probe: time-averages vs fleet-ensemble
-//!   averages, and how long a single device must be observed before the two
-//!   agree (the assumption behind canarying).
 //!
 //! The crate is deliberately independent of where the signals come from: it
 //! consumes [`sweetspot_timeseries::RegularSeries`] and a [`SignalSource`]
@@ -35,9 +30,7 @@
 
 pub mod adaptive;
 pub mod aliasing;
-pub mod ergodicity;
 pub mod estimator;
-pub mod multivariate;
 pub mod reconstruct;
 pub mod recommend;
 pub mod reduction;

@@ -39,7 +39,7 @@
 //! The `*_into` methods write into caller-owned buffers and reuse the
 //! planner's [`FftScratch`]; once the buffers have warmed up, steady-state
 //! transforms of previously seen lengths perform **no heap allocations** —
-//! the property the PSD/Welch/STFT pipeline in [`crate::psd`] relies on.
+//! the property the PSD/Welch pipeline in [`crate::psd`] relies on.
 //!
 //! Conventions: the forward transform is **unnormalized**
 //! (`X_k = Σ x_n e^{−2πi nk/N}`); the inverse scales by `1/N`, so

@@ -10,8 +10,6 @@
 //!   factor above 5, and Bluestein's chirp-z algorithm for the rest),
 //! * window functions ([`window::Window`]),
 //! * power-spectral-density estimation ([`psd`]: periodogram and Welch),
-//! * filtering ([`filter`]: FFT brick-wall low-pass, moving average, IIR,
-//!   median),
 //! * resampling and interpolation ([`resample`], [`interp`]: decimation,
 //!   zero-stuff upsampling, nearest/linear/sinc reconstruction),
 //! * quantization ([`quantize`]), and
@@ -46,15 +44,12 @@
 
 pub mod complex;
 pub mod fft;
-pub mod filter;
-pub mod goertzel;
 pub mod interp;
 pub mod psd;
 pub mod quantize;
 pub mod resample;
 pub mod spectrum;
 pub mod stats;
-pub mod stft;
 pub mod window;
 
 pub use complex::Complex64;

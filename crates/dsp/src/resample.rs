@@ -2,13 +2,13 @@
 //!
 //! Two families of operations:
 //!
-//! * **Decimation** ([`decimate`], [`fractional_decimate`]) — keep a subset of
-//!   samples. This models what a *monitoring system* does when it polls less
-//!   often: no anti-alias filter protects it, which is precisely how aliasing
-//!   arises in practice (§2 of the paper).
-//! * **Fourier resampling** ([`resample_fft`], [`upsample_fft`]) — the ideal
-//!   band-limited conversion used for reconstruction (§4.3): pad or truncate
-//!   the spectrum and inverse-transform.
+//! * **Decimation** ([`decimate`]) — keep a subset of samples. This models
+//!   what a *monitoring system* does when it polls less often: no anti-alias
+//!   filter protects it, which is precisely how aliasing arises in practice
+//!   (§2 of the paper).
+//! * **Fourier resampling** ([`resample_fft`]) — the ideal band-limited
+//!   conversion used for reconstruction (§4.3): pad or truncate the spectrum
+//!   and inverse-transform.
 
 use crate::complex::Complex64;
 use crate::fft::{one_sided_len, FftPlanner};
@@ -24,28 +24,6 @@ pub fn decimate(samples: &[f64], factor: usize) -> Vec<f64> {
     samples.iter().step_by(factor).copied().collect()
 }
 
-/// Decimates by a possibly non-integer `ratio ≥ 1`: output sample `i` is the
-/// input sample nearest to position `i · ratio`.
-///
-/// Models a poller running at `original_rate / ratio` against a store of
-/// high-rate samples.
-///
-/// # Panics
-/// Panics if `ratio < 1`.
-pub fn fractional_decimate(samples: &[f64], ratio: f64) -> Vec<f64> {
-    assert!(ratio >= 1.0, "ratio must be ≥ 1, got {ratio}");
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let out_len = ((samples.len() as f64) / ratio).ceil() as usize;
-    (0..out_len)
-        .map(|i| {
-            let idx = (i as f64 * ratio).round() as usize;
-            samples[idx.min(samples.len() - 1)]
-        })
-        .collect()
-}
-
 /// Ideal Fourier resampling of a real signal to `new_len` points spanning the
 /// same duration.
 ///
@@ -54,17 +32,6 @@ pub fn fractional_decimate(samples: &[f64], ratio: f64) -> Vec<f64> {
 /// frequency. The even-length Nyquist bin is split/merged so the output stays
 /// real. Energy is scaled so amplitudes are preserved.
 ///
-/// # Panics
-/// Panics if `samples` is empty or `new_len == 0`.
-pub fn resample_fft(planner: &mut FftPlanner, samples: &[f64], new_len: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(new_len);
-    resample_fft_into(planner, samples, new_len, &mut out);
-    out
-}
-
-/// [`resample_fft`] into a caller-owned output buffer (cleared first), for
-/// pipelines that resample repeatedly (e.g. the §6 correlation roundtrip).
-///
 /// Both the analysis and the synthesis run one-sided through the real-input
 /// FFT fast path: the source's one-sided spectrum is mapped onto the
 /// target's one-sided grid (the mirror half is implied by conjugate
@@ -72,19 +39,12 @@ pub fn resample_fft(planner: &mut FftPlanner, samples: &[f64], new_len: usize) -
 ///
 /// # Panics
 /// Panics if `samples` is empty or `new_len == 0`.
-pub fn resample_fft_into(
-    planner: &mut FftPlanner,
-    samples: &[f64],
-    new_len: usize,
-    out: &mut Vec<f64>,
-) {
+pub fn resample_fft(planner: &mut FftPlanner, samples: &[f64], new_len: usize) -> Vec<f64> {
     assert!(!samples.is_empty(), "cannot resample an empty signal");
     assert!(new_len > 0, "new_len must be positive");
     let n = samples.len();
     if new_len == n {
-        out.clear();
-        out.extend_from_slice(samples);
-        return;
+        return samples.to_vec();
     }
     let mut spec = Vec::with_capacity(one_sided_len(n));
     planner.fft_real_into(samples, &mut spec);
@@ -116,16 +76,9 @@ pub fn resample_fft_into(
     for c in &mut out_spec {
         *c = c.scale(scale);
     }
-    planner.ifft_real_into(&out_spec, m, out);
-}
-
-/// Convenience wrapper: upsamples by an integer `factor` via [`resample_fft`].
-///
-/// # Panics
-/// Panics if `factor == 0` or `samples` is empty.
-pub fn upsample_fft(planner: &mut FftPlanner, samples: &[f64], factor: usize) -> Vec<f64> {
-    assert!(factor > 0, "upsampling factor must be positive");
-    resample_fft(planner, samples, samples.len() * factor)
+    let mut out = Vec::with_capacity(m);
+    planner.ifft_real_into(&out_spec, m, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -150,25 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn fractional_decimate_integer_ratio_matches_decimate() {
-        let v: Vec<f64> = (0..100).map(|i| (i as f64).sin()).collect();
-        assert_eq!(fractional_decimate(&v, 4.0), decimate(&v, 4));
-    }
-
-    #[test]
-    fn fractional_decimate_ratio_one_is_identity() {
-        let v: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        assert_eq!(fractional_decimate(&v, 1.0), v);
-    }
-
-    #[test]
-    fn fractional_decimate_noninteger() {
-        let v: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let out = fractional_decimate(&v, 2.5);
-        assert_eq!(out, vec![0.0, 3.0, 5.0, 8.0]);
-    }
-
-    #[test]
     fn resample_identity_when_len_unchanged() {
         let mut p = FftPlanner::new();
         let v = tone(64, 8.0, 1.0);
@@ -181,7 +115,7 @@ mod tests {
         let fs = 32.0;
         let n = 128;
         let v = tone(n, fs, 3.0);
-        let up = upsample_fft(&mut p, &v, 4);
+        let up = resample_fft(&mut p, &v, 4 * n);
         assert_eq!(up.len(), 4 * n);
         // The upsampled signal must match the analytic tone at the new rate.
         let want = tone(4 * n, 4.0 * fs, 3.0);

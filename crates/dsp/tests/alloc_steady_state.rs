@@ -2,8 +2,7 @@
 //!
 //! Pins the PR's zero-allocation guarantee with a counting global allocator:
 //! once the planner, scratch and output buffers are warm, `periodogram_into`
-//! and `welch_into` must not touch the heap at all, and `stft` must allocate
-//! only each frame's own output power buffer.
+//! and `welch_into` must not touch the heap at all.
 //!
 //! The counter is **per-thread**: libtest's harness threads (timeout
 //! watchdog, capture machinery) allocate at unpredictable times, so a
@@ -15,7 +14,6 @@ use std::cell::Cell;
 
 use sweetspot_dsp::fft::{FftPlanner, FftScratch};
 use sweetspot_dsp::psd::{periodogram_into, welch_into, PsdConfig, PsdScratch, WelchConfig};
-use sweetspot_dsp::stft::{stft, StftConfig};
 use sweetspot_dsp::window::Window;
 
 std::thread_local! {
@@ -116,26 +114,4 @@ fn spectral_pipeline_steady_state_is_allocation_free() {
         welch_into(&mut planner, &mut scratch, &long, welch_cfg, &mut acc);
     });
     assert_eq!(count, 0, "steady-state welch must not allocate in its segment loop");
-
-    // STFT returns one Spectrum per frame, so the per-frame floor is the
-    // output power buffer itself (1 allocation) — the scratch contributes
-    // nothing. Budget: frames + the pre-sized frames vec + small slack for
-    // the Vec moves inside Spectrum construction.
-    let stft_cfg = StftConfig {
-        frame_len: 256,
-        hop: 128,
-        window: Window::Hann,
-        detrend: true,
-    };
-    let frames = stft(&mut planner, &long, 1.0, stft_cfg); // warm plans
-    let frame_count = frames.len();
-    assert!(frame_count > 10, "geometry sanity: got {frame_count} frames");
-    let count = allocations_during(|| {
-        let f = stft(&mut planner, &long, 1.0, stft_cfg);
-        assert_eq!(f.len(), frame_count);
-    });
-    assert!(
-        count <= frame_count + 4,
-        "stft should allocate only per-frame outputs: {count} allocations for {frame_count} frames"
-    );
 }

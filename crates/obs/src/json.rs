@@ -60,6 +60,7 @@ mod tests {
         assert_eq!(s(|o| string_into(o, "plain")), "\"plain\"");
         assert_eq!(s(|o| string_into(o, "a\"b\\c\n")), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(s(|o| string_into(o, "\u{1}")), "\"\\u0001\"");
+        assert_eq!(s(|o| string_into(o, "tab\tnl\n")), "\"tab\\tnl\\n\"");
     }
 
     #[test]
@@ -68,6 +69,8 @@ mod tests {
         assert_eq!(s(|o| number_into(o, -3.0)), "-3");
         assert_eq!(s(|o| number_into(o, f64::NAN)), "null");
         assert_eq!(s(|o| number_into(o, f64::INFINITY)), "null");
+        let third: f64 = s(|o| number_into(o, 1.0 / 3.0)).parse().unwrap();
+        assert_eq!(third, 1.0 / 3.0, "shortest-roundtrip formatting");
         assert_eq!(s(|o| uint_into(o, 42)), "42");
     }
 
